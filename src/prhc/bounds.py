@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 BOUND_REL_TOL = 1e-9       # relative slack allowed on J vs certified bound
-AUDIT_ABS_TOL = 1e-6       # absolute slack floor for recursion audits
 
 
 def kappa(beta: float, M: int) -> float:

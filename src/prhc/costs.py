@@ -2,7 +2,9 @@
 
 Time indices are 0-based positions into a model's cost sequence. All eval/sigma
 implementations broadcast over leading batch dimensions: x has shape (..., n),
-u has shape (..., m), and the result drops the trailing axis.
+u has shape (..., m), and the result drops the trailing axis. The leading shapes
+of x and u broadcast against each other, so eval(t, x[:, None, :], u[None, :, :])
+costs every (state, input) pair; the brute-force grid oracle relies on this.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .costs import (
     estimate_params,
     sigma_eval,
 )
-from .linsys import DisturbanceSequence, LinearSystem
+from .linsys import DisturbanceSequence, LinearSystem, rollout
 from .policy import build_schedule, run_policy
 from .solver import SolverConfig
 
@@ -61,7 +61,7 @@ CSV_HEADER = (
 GRID_BUDGET = 10**8          # max points an exhaustive grid sweep may enumerate
 REFINE_POINTS = 33           # grid points per axis on each refinement level
 REFINE_SAFETY = 8            # kept box half-width, in units of current spacing
-EVAL_CHUNK = 1 << 18         # grid points evaluated per vectorized batch
+EVAL_CHUNK = 1 << 18         # (prefix, input) pairs costed per vectorized block
 
 
 @dataclass(frozen=True)
@@ -393,44 +393,79 @@ def aggregate_report(report: ExperimentReport) -> list:
     return cells
 
 
-def _batch_cost(sc: Scenario, U: np.ndarray) -> np.ndarray:
-    """Total realized cost for a batch of open-loop input tables (B, T, m)."""
-    A_T = sc.sys.A.T
-    B_T = sc.sys.B.T
-    w = sc.w_full.w
-    x = np.broadcast_to(sc.x1, (U.shape[0], sc.sys.n)).copy()
-    total = np.zeros(U.shape[0])
-    for t in range(sc.T):
-        u_t = U[:, t, :]
-        total += sc.costs.eval(t, x, u_t)
-        x = x @ A_T + u_t @ B_T + w[t]
-    return total
-
-
 def _grid_scan(sc: Scenario, axes: list) -> tuple:
-    """Minimum of the batch cost over the cross product of per-dim axes."""
-    sizes = [len(ax) for ax in axes]
-    total = int(np.prod(sizes))
-    d = len(axes)
-    best_val = math.inf
-    best_idx = None
-    radices = np.array(sizes)
-    for start in range(0, total, EVAL_CHUNK):
-        idx = np.arange(start, min(start + EVAL_CHUNK, total))
-        digits = np.empty((idx.size, d), dtype=np.int64)
-        rem = idx
-        for j in range(d - 1, -1, -1):
-            digits[:, j] = rem % radices[j]
-            rem = rem // radices[j]
-        pts = np.empty((idx.size, d))
-        for j in range(d):
-            pts[:, j] = axes[j][digits[:, j]]
-        vals = _batch_cost(sc, pts.reshape(idx.size, sc.T, sc.sys.m))
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_idx = pts[k].copy()
-    return best_val, best_idx
+    """First minimum of the total cost over the cross product of per-dim axes.
+
+    The scan runs stage by stage, depth first: each stage extends a block of
+    input prefixes (their states and summed costs) by every input of the
+    stage's own axes, so a prefix is costed once however many completions it
+    has. Blocks hold at most EVAL_CHUNK (prefix, input) pairs and are visited
+    in the grid's lexicographic order, so ties keep the first grid point.
+    Returns (J, u) with u the flat point of length T*m.
+    """
+    T, m, n = sc.T, sc.sys.m, sc.sys.n
+    A_T = sc.sys.A.T
+    w = sc.w_full.w
+    costs = sc.costs
+    inputs = [np.stack(np.meshgrid(*axes[t * m:(t + 1) * m], indexing="ij"),
+                       axis=-1).reshape(-1, m) for t in range(T)]
+    lifts = [u @ sc.sys.B.T for u in inputs[:-1]]
+
+    def scan(t, x, c):
+        # (value, prefix row, input index per stage from t on); NaN ends the scan
+        u = inputs[t]
+        K = len(u)
+        last = t == T - 1
+        rows = max(1, EVAL_CHUNK // K)
+        cols = min(K, EVAL_CHUNK)
+        best = (math.inf, -1, None)
+        for r0 in range(0, len(c), rows):
+            xb = x[r0:r0 + rows]
+            cb = c[r0:r0 + rows]
+            if not last:
+                xA = (xb @ A_T)[:, None, :]
+            for k0 in range(0, K, cols):
+                ub = u[k0:k0 + cols]
+                vals = np.broadcast_to(
+                    cb[:, None] + costs.eval(t, xb[:, None, :], ub[None, :, :]),
+                    (len(cb), len(ub)))
+                if last:
+                    flat = int(np.argmin(vals))
+                    val, path = float(vals.flat[flat]), []
+                else:
+                    x_next = xA + lifts[t][None, k0:k0 + cols, :] + w[t]
+                    val, flat, path = scan(t + 1, x_next.reshape(-1, n),
+                                           vals.reshape(-1))
+                if not val >= best[0]:  # strictly smaller, or NaN
+                    row, col = divmod(flat, len(ub))
+                    best = (val, r0 + row, [k0 + col] + path)
+                    if math.isnan(val):
+                        return best
+        return best
+
+    val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
+                           np.zeros(1))
+    if path is None:
+        raise ValueError(
+            f"no finite cost on the grid of {math.prod(len(a) for a in axes)} "
+            f"points: every total cost is inf"
+        )
+    point = np.concatenate([inputs[t][k] for t, k in enumerate(path)])
+    if math.isnan(val):
+        raise ValueError(
+            f"cost is NaN at stage {_first_nan_stage(sc, point)} of grid point "
+            f"u={point.tolist()}"
+        )
+    return val, point
+
+
+def _first_nan_stage(sc: Scenario, point: np.ndarray) -> int:
+    """First stage whose cost is NaN along the open-loop input table `point`."""
+    traj = rollout(sc.sys, sc.x1, point.reshape(sc.T, sc.sys.m), sc.w_full)
+    for t in range(sc.T):
+        if np.isnan(sc.costs.eval(t, traj.states[t], traj.inputs[t])):
+            return t
+    return sc.T - 1
 
 
 def brute_force_oracle(sc: Scenario, grid_res: float, u_box: float) -> tuple:
@@ -441,7 +476,8 @@ def brute_force_oracle(sc: Scenario, grid_res: float, u_box: float) -> tuple:
     stage costs (convexity bounds how far the continuous minimizer can sit
     from the best grid point, so a shrinking box never loses it); non-convex
     models past the budget are rejected. Returns (J*, u*) with u* of shape
-    (T, m) and effective spacing <= grid_res.
+    (T, m) and effective spacing <= grid_res. A NaN stage cost anywhere on a
+    scanned grid, or a grid with no finite total cost, raises ValueError.
     """
     if grid_res <= 0:
         raise ValueError(f"grid_res must be positive, got {grid_res}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prhc import harness
-from prhc.costs import CostModel, QuadraticCost
+from prhc.costs import CostModel, NonConvexCost, QuadraticCost
 from prhc.harness import (
     CSV_HEADER,
     ExperimentReport,
@@ -52,6 +52,47 @@ def scalar_scenario(costs, w_rows, x1, T, cost_kind="quadratic"):
 
 def unit_quad(T):
     return QuadraticCost(np.ones((T, 1, 1)), np.ones((T, 1, 1)))
+
+
+class InfCost(ZeroCost):
+    def eval(self, t, x, u):
+        return np.full(np.shape(x)[:-1], math.inf)
+
+
+class PoisonedCost(CostModel):
+    """Unit quadratic stage cost, replaced by `value` where stage `stage` has
+    u_0 < -1.5 (every stage when `stage` is None)."""
+
+    convex = True
+    length = None
+
+    def __init__(self, value, stage=None):
+        self.value = value
+        self.stage = stage
+
+    def eval(self, t, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        c = np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)
+        if self.stage is None or t == self.stage:
+            c = np.where(u[..., 0] < -1.5, self.value, c)
+        return c
+
+    def sigma(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(x * x, axis=-1)
+
+
+def vector_scenario(costs, n, m, T, seed=0):
+    """Random (A, B, w) of the given sizes under a caller-chosen cost model."""
+    rng = np.random.default_rng(seed)
+    return Scenario(
+        seed=seed, config=ScenarioConfig(n=n, m=m, T=T, N=T),
+        sys=LinearSystem(A=rng.uniform(0, 1, (n, n)), B=rng.uniform(-1, 1, (n, m))),
+        cost_kind="quadratic", costs=costs,
+        w_full=DisturbanceSequence.from_array(rng.uniform(0, 1, (T, n))),
+        x1=rng.uniform(0, 1, n), T=T, N=T,
+    )
 
 
 class TestScenarioConfig:
@@ -276,6 +317,55 @@ class TestBruteForceOracle:
             brute_force_oracle(sc, 0.0, 2.0)
         with pytest.raises(ValueError, match="u_box"):
             brute_force_oracle(sc, 0.1, -1.0)
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_nan_cost_is_an_error(self, stage):
+        # the finite minimum sits at u = (-0.5, 0), far from the NaN region
+        sc = scalar_scenario(PoisonedCost(math.nan, stage), [[0.0], [0.0]],
+                             [1.0], T=2)
+        with pytest.raises(ValueError, match=f"NaN at stage {stage} "):
+            brute_force_oracle(sc, 0.05, 2.0)
+
+    def test_nan_cost_in_refinement_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRID_BUDGET", 2000)  # 33^2 fits, 4001^2 not
+        sc = scalar_scenario(PoisonedCost(math.nan), [[0.0], [0.0]], [1.0], T=2)
+        with pytest.raises(ValueError, match="NaN at stage 0 "):
+            brute_force_oracle(sc, 1e-3, 2.0)
+
+    def test_all_inf_cost_is_an_error(self):
+        sc = scalar_scenario(PoisonedCost(math.inf), [[0.0], [0.0]], [1.0], T=2)
+        J, _ = brute_force_oracle(sc, 0.05, 2.0)  # inf only where u_0 < -1.5
+        assert J == pytest.approx(1.5, abs=1e-12)
+        sc = scalar_scenario(InfCost(), [[0.0], [0.0]], [1.0], T=2)
+        with pytest.raises(ValueError, match="no finite cost on the grid"):
+            brute_force_oracle(sc, 0.05, 2.0)
+
+    @pytest.mark.parametrize("costs, n, m, T, grid_res", [
+        (QuadraticCost(np.ones((3, 1, 1)), np.ones((3, 1, 1))), 1, 1, 3, 0.25),
+        # 81 inputs per stage: split whenever the block is smaller
+        (QuadraticCost(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2)),
+         2, 2, 2, 0.5),
+        (NonConvexCost(), 2, 1, 3, 0.25),
+    ])
+    def test_block_size_invariance(self, monkeypatch, costs, n, m, T, grid_res):
+        sc = vector_scenario(costs, n, m, T)
+        J_ref, u_ref = brute_force_oracle(sc, grid_res, 2.0)
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
+            J, u = brute_force_oracle(sc, grid_res, 2.0)
+            assert J == J_ref
+            assert u.tobytes() == u_ref.tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_ties_keep_first_grid_point(self, monkeypatch, chunk, m):
+        if chunk is not None:
+            monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
+        sc = vector_scenario(ZeroCost(), 1, m, 2)
+        J, u = brute_force_oracle(sc, 0.5, 2.0)
+        assert J == 0.0
+        assert u.shape == (2, m)
+        np.testing.assert_array_equal(u, -2.0)
 
 
 class TestReports:
