@@ -252,8 +252,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    opts = _resolve(args, ("seed", "cost", "n", "m", "T", "grid_res", "u_box",
-                           "sample_budget"))
+    opts = _resolve(args, ("seed", "cost", "n", "m", "T", "grid_res", "u_box"))
     kind = _cost_kind(opts["cost"])
     cfg = ScenarioConfig(cost_kind=kind, n=opts["n"], m=opts["m"],
                          T=opts["T"], N=opts["T"])  # full preview: one window
@@ -331,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid spacing (default 1e-3)")
     or_p.add_argument("--u-box", dest="u_box", type=float,
                       help="input box half-width (default 2.0)")
-    or_p.add_argument("--sample-budget", dest="sample_budget", type=int,
-                      help="unused; accepted for config-file compatibility")
     or_p.set_defaults(func=_cmd_oracle)
 
     audit_p = sub.add_parser("audit",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import LinearSystem, Trajectory, stack_dynamics
+from .linsys import LinearSystem, StackedDynamics, Trajectory, stack_dynamics
 
 __all__ = [
     "CostModel",
@@ -335,41 +335,50 @@ def estimate_alpha_lower(costs: CostModel, x_samples=None, t_samples=None) -> Al
     return AlphaEstimate(value=best, certified=False)
 
 
+def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
+    """(Qbar, G'Qbar, G'Qbar G + Rbar) of the window from stage t0, where Qbar
+    and Rbar are the block-diagonal stage weights over the steps of sd."""
+    n, m, N = sd.n, sd.m, sd.N
+    Qbar = np.zeros((n * N, n * N))
+    Rbar = np.zeros((m * N, m * N))
+    for k in range(N):
+        Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = costs.Q_seq[t0 + k]
+        Rbar[k * m:(k + 1) * m, k * m:(k + 1) * m] = costs.R_seq[t0 + k]
+    GtQ = sd.G.T @ Qbar
+    return Qbar, GtQ, GtQ @ sd.G + Rbar
+
+
 def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horizon: int):
     """Symmetric P with V_{t0}(x, w) = [x; w]' P [x; w] for the quadratic model.
 
     w stacks the `horizon` previewed disturbance vectors of the window.
     """
     costs.check_horizon(t0, horizon)
-    sd = stack_dynamics(sys, horizon)
-    n, m, N = sys.n, sys.m, horizon
-    Qbar = np.zeros((n * N, n * N))
-    Rbar = np.zeros((m * N, m * N))
-    for k in range(N):
-        Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = costs.Q_seq[t0 + k]
-        Rbar[k * m:(k + 1) * m, k * m:(k + 1) * m] = costs.R_seq[t0 + k]
+    return _value_form(stack_dynamics(sys, horizon), costs, t0)
+
+
+def _value_form(sd: StackedDynamics, costs: QuadraticCost, t0: int):
+    Qbar, GtQ, normal = _condensed_qp(sd, costs, t0)
     S = np.hstack([sd.F, sd.H])
-    GtQ = sd.G.T @ Qbar
-    Mw = GtQ @ sd.G + Rbar
-    deflated = Qbar - GtQ.T @ np.linalg.solve(Mw, GtQ)
+    deflated = Qbar - GtQ.T @ np.linalg.solve(normal, GtQ)
     P = S.T @ deflated @ S
     return 0.5 * (P + P.T)
 
 
 def _exact_quadratic_upper(sys, costs, N):
-    L = costs.length
+    L, n, m = costs.length, sys.n, sys.m
+    sd = stack_dynamics(sys, min(N, L))
     alpha_hi = 0.0
     gamma_sq = 0.0
     for t0 in range(L):
         h = min(N, L - t0)
-        P = quadratic_value_form(sys, costs, t0, h)
-        n = sys.n
-        Pxx = P[:n, :n]
-        Pxw = P[:n, n:]
-        Pww = P[n:, n:]
-        cross = float(np.linalg.norm(Pxw, 2)) if Pxw.size else 0.0
-        lam_x = max(float(np.linalg.eigvalsh(Pxx)[-1]), 0.0)
-        lam_w = max(float(np.linalg.eigvalsh(Pww)[-1]), 0.0) if Pww.size else 0.0
+        if h < sd.N:  # tail window: the leading h blocks equal stack_dynamics(sys, h)
+            sd = StackedDynamics(sd.F[:n * h], sd.G[:n * h, :m * h],
+                                 sd.H[:n * h, :n * h], n, m, h)
+        P = _value_form(sd, costs, t0)
+        cross = float(np.linalg.norm(P[:n, n:], 2))
+        lam_x = max(float(np.linalg.eigvalsh(P[:n, :n])[-1]), 0.0)
+        lam_w = max(float(np.linalg.eigvalsh(P[n:, n:])[-1]), 0.0)
         alpha_hi = max(alpha_hi, lam_x + cross)
         gamma_sq = max(gamma_sq, lam_w + cross)
     return alpha_hi, gamma_sq

@@ -185,6 +185,16 @@ def step(sys: LinearSystem, x, u, w) -> np.ndarray:
     return sys.A @ x + sys.B @ u + w
 
 
+def _propagate(sys: LinearSystem, x1, u, w) -> np.ndarray:
+    """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); no checks."""
+    A, B = sys.A, sys.B
+    states = np.empty((len(u) + 1, sys.n))
+    states[0] = x1
+    for k in range(len(u)):
+        states[k + 1] = A @ states[k] + B @ u[k] + w[k]
+    return states
+
+
 def rollout(sys: LinearSystem, x1, u_seq, w_seq) -> Trajectory:
     """Roll the dynamics forward from x1 under an input and disturbance sequence.
 
@@ -192,21 +202,21 @@ def rollout(sys: LinearSystem, x1, u_seq, w_seq) -> Trajectory:
     """
     if isinstance(w_seq, DisturbanceSequence):
         w_seq = w_seq.w
+    x1 = np.asarray(x1, dtype=float)
     u_seq = np.asarray(u_seq, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float)
-    if u_seq.ndim == 1:
-        u_seq = u_seq.reshape(-1, sys.m)
-    if w_seq.ndim == 1:
-        w_seq = w_seq.reshape(-1, sys.n)
+    if x1.size != sys.n:
+        raise ValueError(f"x1 has {x1.size} entries, expected {sys.n}")
+    if u_seq.ndim != 2 or u_seq.shape[1] != sys.m:
+        raise ValueError(f"u_seq has shape {u_seq.shape}, expected (T, {sys.m})")
+    if w_seq.ndim != 2 or w_seq.shape[1] != sys.n:
+        raise ValueError(f"w_seq has shape {w_seq.shape}, expected (T, {sys.n})")
     T = u_seq.shape[0]
     if w_seq.shape[0] != T:
         raise ValueError(
             f"input sequence has {T} steps but disturbance sequence has {w_seq.shape[0]}"
         )
-    states = np.empty((T + 1, sys.n))
-    states[0] = np.asarray(x1, dtype=float).reshape(sys.n)
-    for t in range(T):
-        states[t + 1] = step(sys, states[t], u_seq[t], w_seq[t])
+    states = _propagate(sys, x1.reshape(sys.n), u_seq, w_seq)
     return Trajectory(states=states, inputs=u_seq.copy(), disturbances=w_seq.copy())
 
 

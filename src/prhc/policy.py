@@ -14,7 +14,7 @@ import numpy as np
 
 from . import solver as _solver
 from .costs import CostModel, total_cost
-from .linsys import DisturbanceSequence, LinearSystem, Trajectory, rollout
+from .linsys import DisturbanceSequence, LinearSystem, Trajectory, _propagate, rollout
 from .solver import HorizonProblem, HorizonSolution, SolverConfig
 
 __all__ = [
@@ -116,7 +116,6 @@ def run_policy(
     x = np.asarray(x1, dtype=float).reshape(sys.n)
     states = np.empty((T + 1, sys.n))
     inputs = np.empty((T, sys.m))
-    states[0] = x
     interval_values = []
     interval_solutions = []
     prev_sol: HorizonSolution | None = None
@@ -144,12 +143,12 @@ def run_policy(
         interval_solutions.append(sol)
 
         applied = sched.applied_at(i)
-        predicted = rollout(sys, x, sol.u_opt, window.w).states
-        for j in range(applied):
-            t = t_i + j  # 1-based global time
-            inputs[t - 1] = sol.u_opt[j]
-            x = sys.A @ x + sys.B @ sol.u_opt[j] + w_full.w[t - 1]
-            states[t] = x
+        done = t_i - 1 + applied  # steps taken once this interval's inputs are in
+        u_applied = sol.u_opt[:applied]
+        predicted = rollout(sys, x, u_applied, window.w[:applied]).states
+        inputs[t_i - 1:done] = u_applied
+        states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done])
+        x = states[done]
         drift = float(np.max(np.abs(predicted[applied] - x)))
         if drift > PREDICTION_TOL * max(1.0, float(np.max(np.abs(x)))):
             raise RuntimeError(

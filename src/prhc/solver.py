@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost
-from .linsys import DisturbanceSequence, LinearSystem, stack_dynamics
+from .costs import CostModel, QuadraticCost, _condensed_qp
+from .linsys import DisturbanceSequence, LinearSystem, _propagate, stack_dynamics
 
 __all__ = [
     "HorizonProblem",
@@ -94,16 +94,6 @@ class HorizonSolution:
     stationarity: float
 
 
-def _window_states(p: HorizonProblem, u: np.ndarray) -> np.ndarray:
-    """States at offsets 0..N-1 under stacked controls u of shape (N, m)."""
-    xs = np.empty((p.N, p.sys.n))
-    xs[0] = p.x0
-    w = p.w_preview.w
-    for k in range(p.N - 1):
-        xs[k + 1] = p.sys.A @ xs[k] + p.sys.B @ u[k] + w[k]
-    return xs
-
-
 def _stage_gradient(costs, t, x, u):
     if costs.has_gradient:
         return costs.gradient(t, x, u)
@@ -123,7 +113,7 @@ def _stage_gradient(costs, t, x, u):
 def horizon_objective(p: HorizonProblem, u) -> float:
     """Window cost of stacked controls u (shape (N, m) or flat)."""
     u = np.asarray(u, dtype=float).reshape(p.N, p.sys.m)
-    xs = _window_states(p, u)
+    xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
     total = 0.0
     for k in range(p.N):
         total += float(p.costs.eval(p.t0 + k, xs[k], u[k]))
@@ -135,7 +125,7 @@ def _objective_gradient(p: HorizonProblem, u_flat: np.ndarray):
     lam_N = 0; grad_u[k] = dc_k/du + B' lam_{k+1}; lam_k = dc_k/dx + A' lam_{k+1}."""
     n, m, N = p.sys.n, p.sys.m, p.N
     u = u_flat.reshape(N, m)
-    xs = _window_states(p, u)
+    xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
     value = 0.0
     gx_all = np.empty((N, n))
     gu_all = np.empty((N, m))
@@ -283,16 +273,10 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     (G'QG + R) u = -G'Q (F x0 + H w)."""
     if not isinstance(p.costs, QuadraticCost):
         raise ValueError("solve_quadratic requires a quadratic cost model")
-    n, m, N = p.sys.n, p.sys.m, p.N
+    m, N = p.sys.m, p.N
     sd = stack_dynamics(p.sys, N)
-    Qbar = np.zeros((n * N, n * N))
-    Rbar = np.zeros((m * N, m * N))
-    for k in range(N):
-        Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = p.costs.Q_seq[p.t0 + k]
-        Rbar[k * m:(k + 1) * m, k * m:(k + 1) * m] = p.costs.R_seq[p.t0 + k]
+    _, GtQ, normal = _condensed_qp(sd, p.costs, p.t0)
     free = sd.F @ p.x0 + sd.H @ p.w_preview.w.ravel()
-    GtQ = sd.G.T @ Qbar
-    normal = GtQ @ sd.G + Rbar
     try:
         u_flat = np.linalg.solve(normal, -GtQ @ free)
     except np.linalg.LinAlgError as exc:

@@ -140,6 +140,17 @@ class TestOracle:
         assert abs(float(values["diff"])) <= 1e-3
         assert float(values["J_grid"]) > 0
 
+    def test_sample_budget_flag_rejected(self):
+        proc = run_cli("oracle", "--T", 2, "--n", 1, "--grid-res", 0.05,
+                       "--sample-budget", 10, expect=2)
+        assert "unrecognized arguments: --sample-budget" in proc.stderr
+
+    def test_sample_budget_in_config_file_still_loads(self, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("sample_budget=10\nT=2\nn=1\ngrid_res=0.05\n")
+        proc = run_cli("oracle", "--config", cfg)
+        assert re.search(r"^J_grid=", proc.stdout, re.M)
+
 
 class TestTable1:
     def test_tiny_protocol_layout(self, tmp_path):

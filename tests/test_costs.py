@@ -226,6 +226,23 @@ class TestUpperEstimate:
 
 
 class TestQuadraticValueForm:
+    def test_exact_envelope_equals_per_window_value_forms(self):
+        # the exact envelope builds one N-step stack and serves the shorter
+        # tail windows from its leading blocks; the constants must equal,
+        # bit for bit, those of a fresh value form per window start
+        rng = np.random.default_rng(9)
+        n, m, N, L = 3, 2, 5, 9
+        sys = LinearSystem(A=rng.uniform(-1, 1, (n, n)), B=rng.uniform(-1, 1, (n, m)))
+        costs = random_quad(rng, n, m, L)
+        alpha_hi = gamma_sq = 0.0
+        for t0 in range(L):
+            P = quadratic_value_form(sys, costs, t0, min(N, L - t0))
+            cross = float(np.linalg.norm(P[:n, n:], 2))
+            alpha_hi = max(alpha_hi, float(np.linalg.eigvalsh(P[:n, :n])[-1]) + cross)
+            gamma_sq = max(gamma_sq, float(np.linalg.eigvalsh(P[n:, n:])[-1]) + cross)
+        est = estimate_gamma_alpha_upper(sys, costs, N=N)
+        assert (est.alpha_hi, est.gamma_bar_sq) == (alpha_hi, gamma_sq)
+
     def test_matches_solver_value(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -88,6 +88,37 @@ def test_rollout_deterministic_bitwise():
     assert np.array_equal(a.inputs, b.inputs)
 
 
+def test_rollout_rejects_wrong_widths():
+    sys = LinearSystem(A=np.eye(2), B=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="x1 has 1 entries"):
+        rollout(sys, [1.0], np.zeros((3, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="u_seq has shape"):
+        rollout(sys, [1.0, 0.0], np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="u_seq has shape"):
+        rollout(sys, [1.0, 0.0], np.zeros((3, 1, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="w_seq has shape"):
+        rollout(sys, [1.0, 0.0], np.zeros((3, 1)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="w_seq has shape"):
+        rollout(sys, [1.0, 0.0], np.zeros((3, 1)), np.zeros(5))
+
+
+def test_rollout_equals_chained_steps_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        T = int(rng.integers(0, 12))
+        sys = random_system(rng, n, m)
+        x = rng.normal(size=n)
+        u = rng.normal(size=(T, m))
+        w = rng.normal(size=(T, n))
+        traj = rollout(sys, x, u, w)
+        chained = [x]
+        for t in range(T):
+            chained.append(step(sys, chained[-1], u[t], w[t]))
+        np.testing.assert_array_equal(traj.states, np.array(chained))
+
+
 def test_stack_dynamics_horizon_one():
     rng = np.random.default_rng(1)
     sys = random_system(rng, 3, 2)
@@ -109,6 +140,22 @@ def test_stack_dynamics_rejects_bad_horizon():
     sys = LinearSystem(A=[[1.0]], B=[[1.0]])
     with pytest.raises(ValueError, match="N"):
         stack_dynamics(sys, 0)
+
+
+def test_leading_blocks_equal_shorter_stack():
+    # a window of h < N steps may reuse the first h blocks of the N-step maps
+    rng = np.random.default_rng(12)
+    for _ in range(15):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 10))
+        sys = random_system(rng, n, m)
+        full = stack_dynamics(sys, N)
+        for h in range(1, N + 1):
+            short = stack_dynamics(sys, h)
+            np.testing.assert_array_equal(full.F[:n * h], short.F)
+            np.testing.assert_array_equal(full.G[:n * h, :m * h], short.G)
+            np.testing.assert_array_equal(full.H[:n * h, :n * h], short.H)
 
 
 def test_stacked_prediction_matches_rollout():

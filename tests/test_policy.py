@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import prhc.policy
 import prhc.solver
 from prhc.costs import NonConvexCost, QuadraticCost
 from prhc.linsys import DisturbanceSequence, LinearSystem
@@ -210,6 +211,23 @@ class TestRunPolicy:
         w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
         with pytest.raises(RuntimeError, match="interval 2"):
             run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6))
+
+    def test_prediction_drift_is_an_error(self, monkeypatch):
+        original = prhc.policy.rollout
+        calls = []
+
+        def drifting(sys, x1, u_seq, w_seq):
+            traj = original(sys, x1, u_seq, w_seq)
+            calls.append(x1)
+            if len(calls) == 2:  # the state predicted at the end of interval 2
+                traj.states[-1] += 1e-3
+            return traj
+
+        monkeypatch.setattr(prhc.policy, "rollout", drifting)
+        sys = LinearSystem(A=[[0.5]], B=[[1.0]])
+        w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
+        with pytest.raises(RuntimeError, match=r"diverged .*\(interval 2\)"):
+            run_policy(sys, scalar_quad(6), w, [0.0], build_schedule(3, 1, 6))
 
     def test_stage_costs_filled_and_sum_to_J(self):
         rng = np.random.default_rng(8)
