@@ -13,7 +13,7 @@ from . import solver as _solver
 from .costs import CostModel, EnvelopeParams
 from .linsys import DisturbanceSequence, LinearSystem
 from .policy import RhcSchedule, RunResult
-from .solver import HorizonProblem, SolverConfig
+from .solver import HorizonProblem
 
 __all__ = [
     "kappa",
@@ -212,7 +212,6 @@ def recursion_audit(
     sys: LinearSystem,
     costs: CostModel,
     w_full: DisturbanceSequence,
-    cfg: SolverConfig | None = None,
 ) -> list:
     """Numerically re-derive the interval recursion on a finished run.
 
@@ -227,8 +226,6 @@ def recursion_audit(
     Slacks must be nonnegative (within tolerance) when the envelope constants
     genuinely dominate the window values.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     sched = result.schedule
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)
@@ -241,7 +238,7 @@ def recursion_audit(
             sys=sys, x0=x, costs=costs, t0=t_i - 1,
             w_preview=w_full.window(t_i - 1, t_i - 1 + N), N=N,
         )
-        return _solver.solve(problem, cfg).value
+        return _solver.solve(problem).value
 
     values: dict[int, float] = {}
     slacks = []

@@ -33,6 +33,11 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-9          # below this, sigma is treated as zero in sampled ratios
 CERT_GRID_RATIO = 1.05      # spacing of the certificate snapping grid
+SAMPLE_X_BOX = 2.0          # sampled envelope: states uniform on [-2, 2]^n
+# sampled envelope: disturbance components uniform on [0, 1], the same box
+# as ScenarioConfig's default w_low/w_high
+SAMPLE_W_LOW = 0.0
+SAMPLE_W_HIGH = 1.0
 
 
 class CostModel:
@@ -295,7 +300,7 @@ def sigma_eval(costs: CostModel, x) -> float:
     return float(costs.sigma(np.asarray(x, dtype=float)))
 
 
-def _default_alpha_grid(costs):
+def _default_alpha_grid():
     # sampling grid for models without an exact alpha path; the bundled
     # non-quadratic model touches only the first two coordinates
     axis = np.linspace(-2.0, 2.0, 41)
@@ -303,7 +308,7 @@ def _default_alpha_grid(costs):
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
-def estimate_alpha_lower(costs: CostModel, x_samples=None, t_samples=None) -> AlphaEstimate:
+def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
     """Largest alpha_lo with eval(t, x, 0) >= alpha_lo * sigma(x).
 
     Exact for the quadratic model (smallest Q eigenvalue across stages) and the
@@ -318,11 +323,8 @@ def estimate_alpha_lower(costs: CostModel, x_samples=None, t_samples=None) -> Al
     if isinstance(costs, SetDistanceCost):
         return AlphaEstimate(value=float(costs.a_seq.min()), certified=True)
 
-    if x_samples is None:
-        x_samples = _default_alpha_grid(costs)
-    x_samples = np.asarray(x_samples, dtype=float)
-    if t_samples is None:
-        t_samples = range(costs.length) if costs.length else [0]
+    x_samples = _default_alpha_grid()
+    t_samples = range(costs.length) if costs.length else [0]
     sig = costs.sigma(x_samples)
     mask = sig > SIGMA_FLOOR
     if not np.any(mask):
@@ -398,9 +400,6 @@ def estimate_gamma_alpha_upper(
     N: int,
     sample_budget: int = 200,
     seed: int = 0,
-    x_box: float = 2.0,
-    w_low: float = 0.0,
-    w_high: float = 1.0,
     solver_cfg=None,
 ) -> UpperEstimate:
     """Constants (alpha_hi, gamma_bar_sq) with V_t(x, w) <= alpha_hi*sigma(x) + gamma_bar_sq*sum||w_k||^2.
@@ -421,23 +420,22 @@ def estimate_gamma_alpha_upper(
 
     if sample_budget < 1:
         raise ValueError(f"sample_budget must be at least 1, got {sample_budget}")
-    from .solver import HorizonProblem, SolverConfig, solve_general
+    from .solver import HorizonProblem, solve_general
     from .linsys import DisturbanceSequence
 
     rng = np.random.default_rng(seed)
-    # under-converged window solves only overestimate values, which keeps the
-    # sampled envelope on the safe side, so a caller may pass a light config
-    cfg = solver_cfg if solver_cfg is not None else SolverConfig()
     max_t0 = 0 if costs.length is None else max(costs.length - N, 0)
-    w_cap = max(abs(w_low), abs(w_high)) * np.sqrt(sys.n) + 1e-9
+    w_cap = max(abs(SAMPLE_W_LOW), abs(SAMPLE_W_HIGH)) * np.sqrt(sys.n) + 1e-9
 
     def window_value(t0, x, w):
         p = HorizonProblem(
             sys=sys, x0=x, costs=costs, t0=t0,
             w_preview=DisturbanceSequence(w, w_cap), N=N,
         )
-        sol = solve_general(p, cfg)
-        return sol.value
+        # under-converged window solves only overestimate values, which keeps
+        # the sampled envelope on the safe side, so a caller may pass a light
+        # solver_cfg
+        return solve_general(p, solver_cfg).value
 
     n_zero = max(sample_budget // 2, 1)
     alpha_emp = 0.0
@@ -445,7 +443,7 @@ def estimate_gamma_alpha_upper(
     zero_w = np.zeros((N, sys.n))
     for _ in range(n_zero):
         t0 = int(rng.integers(0, max_t0 + 1))
-        x = rng.uniform(-x_box, x_box, sys.n)
+        x = rng.uniform(-SAMPLE_X_BOX, SAMPLE_X_BOX, sys.n)
         sig = float(costs.sigma(x))
         if sig <= SIGMA_FLOOR:
             continue
@@ -460,8 +458,8 @@ def estimate_gamma_alpha_upper(
     gamma_emp = 0.0
     for _ in range(sample_budget - n_zero):
         t0 = int(rng.integers(0, max_t0 + 1))
-        x = rng.uniform(-x_box, x_box, sys.n)
-        w = rng.uniform(w_low, w_high, (N, sys.n))
+        x = rng.uniform(-SAMPLE_X_BOX, SAMPLE_X_BOX, sys.n)
+        w = rng.uniform(SAMPLE_W_LOW, SAMPLE_W_HIGH, (N, sys.n))
         energy = float(np.sum(w * w))
         if energy <= 0:
             continue
@@ -482,7 +480,6 @@ def estimate_params(
     N: int,
     sample_budget: int = 200,
     seed: int = 0,
-    zeta: float | None = None,
     solver_cfg=None,
 ) -> EnvelopeParams:
     """Bundle the alpha/gamma estimates into envelope constants."""
@@ -494,6 +491,5 @@ def estimate_params(
         alpha_lo=alpha.value,
         alpha_hi=upper.alpha_hi,
         gamma_bar_sq=gamma_sq,
-        zeta=zeta,
         certified=alpha.certified and upper.certified,
     )

@@ -199,16 +199,12 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
 SAMPLING_SOLVER = SolverConfig(max_iters=120, grad_tol=1e-6, restarts=2)
 
 
-def scenario_params(
-    sc: Scenario,
-    sample_budget: int = 200,
-    zeta: float | None = None,
-) -> EnvelopeParams:
+def scenario_params(sc: Scenario, sample_budget: int = 200) -> EnvelopeParams:
     """Envelope constants for a scenario: exact for quadratic costs, sampled
     otherwise. The sampling seed is tied to the scenario seed."""
     return estimate_params(
         sc.sys, sc.costs, sc.N,
-        sample_budget=sample_budget, seed=sc.seed, zeta=zeta,
+        sample_budget=sample_budget, seed=sc.seed,
         solver_cfg=SAMPLING_SOLVER,
     )
 
@@ -273,13 +269,8 @@ class ExperimentReport:
         return sorted(self.rows, key=lambda r: (r.seed, r.cost_kind, r.policy, r.N))
 
 
-def _row_sigma_start(sc: Scenario) -> float:
-    return float(sigma_eval(sc.costs, sc.x1))
-
-
 def run_comparison(
     sc: Scenario,
-    solver_cfg: SolverConfig | None = None,
     params: EnvelopeParams | None = None,
     sample_budget: int = 200,
 ) -> list:
@@ -291,12 +282,11 @@ def run_comparison(
     try:
         if params is None:
             params = scenario_params(sc, sample_budget=sample_budget)
-        sigma1 = _row_sigma_start(sc)
+        sigma1 = sigma_eval(sc.costs, sc.x1)
         rows = []
         for name, M in sc.policies:
             sched = sc.policy_schedule(M)
-            res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched,
-                             cfg=solver_cfg)
+            res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
             cert = certify(res, params, sched, sigma_x1=sigma1)
             rows.append(ReportRow(
                 seed=sc.seed, cost_kind=sc.cost_kind, policy=name,
@@ -330,7 +320,6 @@ def run_table1(
     iters: int = 10,
     N_list: tuple = (6, 9),
     config: ScenarioConfig | None = None,
-    solver_cfg: SolverConfig | None = None,
     sample_budget: int = 200,
     cost_kinds: tuple = COST_KINDS,
 ) -> ExperimentReport:
@@ -349,8 +338,7 @@ def run_table1(
 
     def job(task):
         seed, cfg = task
-        return run_comparison(gen_scenario(seed, cfg), solver_cfg=solver_cfg,
-                              sample_budget=sample_budget)
+        return run_comparison(gen_scenario(seed, cfg), sample_budget=sample_budget)
 
     workers = min(worker_count(), len(tasks))
     if workers > 1:
@@ -575,6 +563,33 @@ def _parse_cell(name: str, text: str):
     return float(text)
 
 
+def _json_row(i: int, entry) -> ReportRow:
+    """Row i of a JSON report: exactly the ReportRow keys, each of its JSON type."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"JSON row {i} is not an object")
+    names = [f.name for f in dataclasses.fields(ReportRow)]
+    missing = [n for n in names if n not in entry]
+    extra = [k for k in entry if k not in names]
+    if missing or extra:
+        raise ValueError(f"JSON row {i}: missing keys {missing}, unknown keys {extra}")
+    cells = {}
+    for name in names:
+        value = entry[name]
+        if name in _STR_FIELDS:
+            ok = isinstance(value, str)
+        elif name in _BOOL_FIELDS:
+            ok = isinstance(value, bool)
+        elif name in _INT_FIELDS:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            value = float(value) if ok else value
+        if not ok:
+            raise ValueError(f"JSON row {i}: key {name} has the wrong type: {value!r}")
+        cells[name] = value
+    return ReportRow(**cells)
+
+
 def load_report(path) -> ExperimentReport:
     """Read back a CSV or JSON report (sniffed from the leading byte)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -582,9 +597,7 @@ def load_report(path) -> ExperimentReport:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        rows = [ReportRow(**{k: (bool(v) if k in _BOOL_FIELDS else v)
-                             for k, v in entry.items()})
-                for entry in doc.get("rows", [])]
+        rows = [_json_row(i, entry) for i, entry in enumerate(doc.get("rows", []))]
         return ExperimentReport(config=doc.get("config", {}), rows=rows)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:

@@ -95,13 +95,13 @@ def run_policy(
     cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Roll the policy over [1, T]: at each window start observe the state,
-    solve the previewed window problem, apply the leading inputs.
+    solve the previewed window problem, apply the leading inputs. Each
+    window after the first warm-starts from the unapplied tail of the
+    previous window's solution, zero-padded to its horizon.
 
     Previews are exact, so the realized state at the next window start must
     equal the solver's prediction; that is checked at runtime.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     T = sched.T
     if len(w_full) < T:
         raise ValueError(
@@ -128,7 +128,7 @@ def run_policy(
             sys=sys, x0=x, costs=costs, t0=t_i - 1, w_preview=window, N=N_i
         )
         u0 = None
-        if cfg.warm_start and prev_sol is not None:
+        if prev_sol is not None:
             tail = prev_sol.u_opt[prev_applied:]
             u0 = np.zeros((N_i, sys.m))
             keep = min(len(tail), N_i)
@@ -178,7 +178,6 @@ def run_standard_rhc(
     x1,
     N: int,
     T: int,
-    cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Replan-every-step baseline: the overlap policy with M = N-1."""
-    return run_policy(sys, costs, w_full, x1, build_schedule(N, N - 1, T), cfg)
+    return run_policy(sys, costs, w_full, x1, build_schedule(N, N - 1, T))

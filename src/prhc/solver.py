@@ -22,7 +22,12 @@ __all__ = [
 ]
 
 FD_STEP = 1e-6
+STEP_INIT = 1.0        # first trial step of each line search
+STEP_SHRINK = 0.5      # backtracking factor
+ARMIJO_C = 1e-4        # sufficient-decrease constant
 STALL_STEP = 1e-20
+MEMORY = 10            # L-BFGS curvature pairs kept
+RESTART_SCALE = 1.0    # restart spread, in units of 1 + max|u0|
 TIE_REL = 1e-9
 
 
@@ -58,29 +63,19 @@ class HorizonProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent controls: backtracking (initial step, shrink factor, sufficient
-    decrease) plus restart count and seed for non-convex problems."""
+    """Descent controls: iteration cap and gradient tolerance, plus restart
+    count and seed for non-convex problems."""
 
     max_iters: int = 500
     grad_tol: float = 1e-8
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
     restarts: int = 5
-    restart_scale: float = 1.0
     seed: int = 0
-    memory: int = 10
-    warm_start: bool = True  # policy runs seed interval i+1 from interval i's tail
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (self.grad_tol > 0):
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError(f"step_shrink must lie in (0,1), got {self.step_shrink}")
-        if not (0 < self.armijo_c < 1):
-            raise ValueError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
 
@@ -91,7 +86,6 @@ class HorizonSolution:
     value: float
     converged: bool
     iterations: int
-    stationarity: float
 
 
 def _stage_gradient(costs, t, x, u):
@@ -171,6 +165,10 @@ def _two_loop(g, s_list, y_list):
     return -q
 
 
+def _max_abs(g) -> float:
+    return float(np.max(np.abs(g))) if g.size else 0.0
+
+
 def _descend(p, u0, cfg, callback=None):
     def evaluate(u_vec, it):
         try:
@@ -185,26 +183,23 @@ def _descend(p, u0, cfg, callback=None):
     f, g = evaluate(u, 0)
     s_list, y_list = [], []
     iterations = 0
-    converged = False
     for it in range(1, cfg.max_iters + 1):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= cfg.grad_tol:
-            converged = True
+        if _max_abs(g) <= cfg.grad_tol:
             break
         d = _two_loop(g, s_list, y_list)
         gd = float(g @ d)
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
-        step = cfg.step_init
+        step = STEP_INIT
         accepted = False
         while step >= STALL_STEP:
             u_new = u + step * d
             f_new, g_new = evaluate(u_new, it)
-            if f_new <= f + cfg.armijo_c * step * gd:
+            if f_new <= f + ARMIJO_C * step * gd:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             break  # no decrease representable; f is numerically stationary
         s = u_new - u
@@ -213,16 +208,14 @@ def _descend(p, u0, cfg, callback=None):
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             s_list.append(s)
             y_list.append(y)
-            if len(s_list) > cfg.memory:
+            if len(s_list) > MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         u, f, g = u_new, f_new, g_new
         iterations = it
         if callback is not None:
             callback(f)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    converged = converged or gnorm <= cfg.grad_tol
-    return u, f, iterations, gnorm, converged
+    return u, f, iterations, _max_abs(g) <= cfg.grad_tol
 
 
 def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
@@ -248,14 +241,14 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
     starts = [u0]
     if not p.costs.convex and cfg.restarts > 0:
         rng = np.random.default_rng(cfg.seed)
-        scale = cfg.restart_scale * (1.0 + float(np.max(np.abs(u0))))
+        scale = RESTART_SCALE * (1.0 + float(np.max(np.abs(u0))))
         for _ in range(cfg.restarts):
             starts.append(u0 + rng.normal(scale=scale, size=dim))
     runs = [_descend(p, s, cfg, callback=callback) for s in starts]
     best_val = min(r[1] for r in runs)
     tol = TIE_REL * max(1.0, abs(best_val))
     candidates = [r for r in runs if r[1] <= best_val + tol]
-    u, value, iterations, gnorm, converged = min(
+    u, value, iterations, converged = min(
         candidates, key=lambda r: float(np.linalg.norm(r[0]))
     )
     u_opt = u.reshape(p.N, p.sys.m)
@@ -264,7 +257,6 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
         value=horizon_objective(p, u_opt),
         converged=converged,
         iterations=iterations,
-        stationarity=gnorm,
     )
 
 
@@ -287,7 +279,6 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
         value=horizon_objective(p, u_opt),
         converged=True,
         iterations=0,
-        stationarity=float(np.max(np.abs(adjoint_gradient(p, u_flat)))),
     )
 
 

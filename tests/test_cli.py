@@ -130,6 +130,16 @@ class TestStoredReports:
     def test_missing_input_fails(self, tmp_path):
         run_cli("certify", "--in", tmp_path / "absent.json", expect=2)
 
+    def test_certify_malformed_row_is_usage_error(self, tmp_path):
+        out = tmp_path / "run.json"
+        run_cli("run", "--T", 8, "--N", 4, "--format", "json", "--out", out)
+        doc = json.loads(out.read_text())
+        del doc["rows"][0]["J"]
+        out.write_text(json.dumps(doc))
+        proc = run_cli("certify", "--in", out, expect=2)
+        assert proc.stderr.startswith("error: JSON row 0: missing keys ['J']")
+        assert "Traceback" not in proc.stderr
+
 
 class TestOracle:
     def test_full_preview_matches_grid(self):

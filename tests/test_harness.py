@@ -1,6 +1,7 @@
 """Scenario generation, comparison experiments, grid oracle, and reports."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -431,4 +432,29 @@ class TestReports:
         path = tmp_path / "bad.csv"
         path.write_text("not,a,report\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            load_report(path)
+
+    def json_report(self, tmp_path, edit):
+        path = tmp_path / "report.json"
+        emit_report(ExperimentReport(rows=[self.row()]), "json", path)
+        doc = json.loads(path.read_text())
+        edit(doc["rows"][0])
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_json_missing_key_rejected(self, tmp_path):
+        path = self.json_report(tmp_path, lambda r: r.pop("bound"))
+        with pytest.raises(ValueError, match=r"missing keys \['bound'\]"):
+            load_report(path)
+
+    def test_json_extra_key_rejected(self, tmp_path):
+        path = self.json_report(tmp_path, lambda r: r.update(note="x"))
+        with pytest.raises(ValueError, match=r"unknown keys \['note'\]"):
+            load_report(path)
+
+    @pytest.mark.parametrize("key,value", [("satisfied", "false"), ("M", 3.0),
+                                           ("seed", True), ("J", "1.5")])
+    def test_json_wrong_type_rejected(self, tmp_path, key, value):
+        path = self.json_report(tmp_path, lambda r: r.update({key: value}))
+        with pytest.raises(ValueError, match=f"key {key} has the wrong type"):
             load_report(path)

@@ -121,6 +121,22 @@ class TestRunPolicy:
         run_policy(sys, costs, w, [0.0], sched)
         assert calls == [t - 1 for t in sched.t_list]
 
+    def test_quadratic_run_makes_no_gradient_calls(self, monkeypatch):
+        calls = []
+        original = QuadraticCost.gradient
+
+        def counting(self, t, x, u):
+            calls.append(t)
+            return original(self, t, x, u)
+
+        monkeypatch.setattr(QuadraticCost, "gradient", counting)
+        rng = np.random.default_rng(7)
+        sys = LinearSystem(A=rng.uniform(-0.5, 0.5, (2, 2)), B=[[1.0], [0.7]])
+        costs = random_quad(rng, 2, 1, 12)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (12, 2)))
+        run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 3, 12))
+        assert calls == []
+
     def test_inputs_come_verbatim_from_interval_solutions(self):
         rng = np.random.default_rng(4)
         sys = LinearSystem(A=rng.uniform(-0.5, 0.5, (2, 2)), B=[[1.0], [0.7]])
@@ -157,22 +173,6 @@ class TestRunPolicy:
             keep = min(len(tail), len(expected))
             expected[:keep] = tail[:keep]
             np.testing.assert_array_equal(received[i], expected)
-
-    def test_warm_start_disabled(self, monkeypatch):
-        received = []
-        original = prhc.solver.solve
-
-        def capturing(p, cfg=None, u0=None):
-            received.append(u0)
-            return original(p, cfg, u0=u0)
-
-        monkeypatch.setattr(prhc.solver, "solve", capturing)
-        sys = LinearSystem(A=[[0.5]], B=[[1.0]])
-        costs = scalar_quad(6)
-        w = DisturbanceSequence.from_array(np.full((6, 1), 0.2))
-        run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6),
-                   SolverConfig(warm_start=False))
-        assert all(u0 is None for u0 in received)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
