@@ -13,7 +13,6 @@ from .bounds import (
     PreviewGainBound,
     a_factor,
     certify,
-    disturbance_gain,
     gain_bound_for_preview,
     kappa,
     omega_op,
@@ -55,14 +54,12 @@ from .linsys import (
     rollout,
     stack_dynamics,
     step,
-    validate_trajectory,
 )
 from .policy import (
     RhcSchedule,
     RunResult,
     build_schedule,
     run_policy,
-    run_standard_rhc,
 )
 from .solver import (
     HorizonProblem,

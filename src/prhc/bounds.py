@@ -1,6 +1,6 @@
 """Closed-form constants of the overlap-policy gain bound, certificate
-checking against runs, the empirical disturbance gain, and a numerical audit
-of the interval recursion the bound is built on."""
+checking against runs, and a numerical audit of the interval recursion the
+bound is built on."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "a_factor",
     "PreviewGainBound",
     "gain_bound_for_preview",
-    "disturbance_gain",
     "GainCertificate",
     "certify",
     "recursion_audit",
@@ -127,20 +126,6 @@ def gain_bound_for_preview(params: EnvelopeParams, N: int) -> PreviewGainBound:
     )
 
 
-def disturbance_gain(result: RunResult, w_full: DisturbanceSequence) -> float:
-    """Realized cost over disturbance energy, J / sum ||w_t||^2 on [1, T]."""
-    T = result.schedule.T
-    if len(w_full) < T:
-        raise ValueError(
-            f"disturbance sequence covers {len(w_full)} steps "
-            f"but the run spans T={T}"
-        )
-    energy = float(np.sum(w_full.w[:T] * w_full.w[:T]))
-    if energy == 0.0:
-        raise ValueError("gain undefined: disturbance energy is zero")
-    return result.J / energy
-
-
 @dataclass(frozen=True)
 class GainCertificate:
     """Outcome of checking one run against the certified gain bound."""
@@ -153,7 +138,6 @@ class GainCertificate:
     conditions: tuple           # (name, satisfied, margin) triples
     satisfied: bool
     truncated_tail: bool
-    certified_params: bool
 
     @property
     def conditions_ok(self) -> bool:
@@ -202,7 +186,6 @@ def certify(
         conditions=conditions,
         satisfied=satisfied,
         truncated_tail=sched.truncated_tail,
-        certified_params=params.certified,
     )
 
 

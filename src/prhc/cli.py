@@ -203,7 +203,7 @@ def _cmd_certify(args) -> int:
     report = load_report(args.infile)
     budget = args.sample_budget
     if budget is None:
-        budget = int(report.config.get("sample_budget", 100))
+        budget = report.config.get("sample_budget", 100)
     failures = 0
     for i, row in enumerate(report.rows):
         sc, params, sched, res = _replay_row(row, budget)
@@ -229,7 +229,7 @@ def _cmd_audit(args) -> int:
     report = load_report(args.infile)
     budget = args.sample_budget
     if budget is None:
-        budget = int(report.config.get("sample_budget", 100))
+        budget = report.config.get("sample_budget", 100)
     failures = 0
     for i, row in enumerate(report.rows):
         sc, params, sched, res = _replay_row(row, budget)

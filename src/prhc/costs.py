@@ -273,7 +273,6 @@ class UpperEstimate:
     alpha_hi: float
     gamma_bar_sq: float
     certified: bool
-    samples: int = 0
 
 
 def total_cost(traj: Trajectory, costs: CostModel) -> float:
@@ -466,12 +465,7 @@ def estimate_gamma_alpha_upper(
         v = window_value(t0, x, w)
         gamma_emp = max(gamma_emp, (v - alpha_hi * float(costs.sigma(x))) / energy)
     gamma_sq = _snap_up(gamma_emp)
-    return UpperEstimate(
-        alpha_hi=alpha_hi,
-        gamma_bar_sq=gamma_sq,
-        certified=False,
-        samples=sample_budget,
-    )
+    return UpperEstimate(alpha_hi=alpha_hi, gamma_bar_sq=gamma_sq, certified=False)
 
 
 def estimate_params(

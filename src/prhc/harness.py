@@ -139,9 +139,6 @@ class Scenario:
     N: int
     policies: tuple = ()
 
-    def policy_schedule(self, M: int):
-        return build_schedule(self.N, M, self.T)
-
 
 def default_policies(N: int) -> tuple:
     return (("overlap", max(1, N // 2)), ("standard", max(1, N - 1)))
@@ -285,7 +282,7 @@ def run_comparison(
         sigma1 = sigma_eval(sc.costs, sc.x1)
         rows = []
         for name, M in sc.policies:
-            sched = sc.policy_schedule(M)
+            sched = build_schedule(sc.N, M, sc.T)
             res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
             cert = certify(res, params, sched, sigma_x1=sigma1)
             rows.append(ReportRow(
@@ -590,6 +587,17 @@ def _json_row(i: int, entry) -> ReportRow:
     return ReportRow(**cells)
 
 
+def _json_config(doc: dict) -> dict:
+    """A JSON report's config: an object whose sample_budget, if any, is an integer >= 1."""
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"JSON config is not an object: {config!r}")
+    budget = config.get("sample_budget", 1)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"JSON config: sample_budget must be an integer >= 1, got {budget!r}")
+    return config
+
+
 def load_report(path) -> ExperimentReport:
     """Read back a CSV or JSON report (sniffed from the leading byte)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -597,8 +605,12 @@ def load_report(path) -> ExperimentReport:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        rows = [_json_row(i, entry) for i, entry in enumerate(doc.get("rows", []))]
-        return ExperimentReport(config=doc.get("config", {}), rows=rows)
+        config = _json_config(doc)
+        entries = doc.get("rows", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"JSON rows is not an array: {entries!r}")
+        rows = [_json_row(i, entry) for i, entry in enumerate(entries)]
+        return ExperimentReport(config=config, rows=rows)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized report: bad CSV header")

@@ -14,7 +14,6 @@ __all__ = [
     "step",
     "rollout",
     "stack_dynamics",
-    "validate_trajectory",
 ]
 
 # slack added to the disturbance norm cap so boundary draws survive float round-off
@@ -162,14 +161,6 @@ class StackedDynamics:
     m: int
     N: int
 
-    def predict(self, x, u_stack, w_stack) -> np.ndarray:
-        """Window states as an (N, n) array for initial state x, inputs and disturbances."""
-        x = np.asarray(x, dtype=float).reshape(self.n)
-        u = np.asarray(u_stack, dtype=float).reshape(self.N * self.m)
-        w = np.asarray(w_stack, dtype=float).reshape(self.N * self.n)
-        flat = self.F @ x + self.G @ u + self.H @ w
-        return flat.reshape(self.N, self.n)
-
 
 def step(sys: LinearSystem, x, u, w) -> np.ndarray:
     """One dynamics update A x + B u + w."""
@@ -241,13 +232,3 @@ def stack_dynamics(sys: LinearSystem, N: int) -> StackedDynamics:
             H[k * n:(k + 1) * n, j * n:(j + 1) * n] = blk
     return StackedDynamics(F=F, G=G, H=H, n=n, m=m, N=N)
 
-
-def validate_trajectory(sys: LinearSystem, traj: Trajectory, tol: float = 1e-9) -> None:
-    """Re-check that the stored states satisfy the dynamics; raise on violation."""
-    for t in range(traj.T):
-        predicted = step(sys, traj.states[t], traj.inputs[t], traj.disturbances[t])
-        err = float(np.max(np.abs(predicted - traj.states[t + 1])))
-        if err > tol:
-            raise ValueError(
-                f"trajectory violates the dynamics at step {t}: max deviation {err:.3e}"
-            )

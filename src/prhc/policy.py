@@ -14,18 +14,15 @@ import numpy as np
 
 from . import solver as _solver
 from .costs import CostModel, total_cost
-from .linsys import DisturbanceSequence, LinearSystem, Trajectory, _propagate, rollout
-from .solver import HorizonProblem, HorizonSolution, SolverConfig
+from .linsys import DisturbanceSequence, LinearSystem, Trajectory, _propagate
+from .solver import HorizonProblem, SolverConfig
 
 __all__ = [
     "RhcSchedule",
     "RunResult",
     "build_schedule",
     "run_policy",
-    "run_standard_rhc",
 ]
-
-PREDICTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,6 @@ class RhcSchedule:
     M: int
     T: int
     t_list: tuple
-    n_m: int
 
     @property
     def truncated_tail(self) -> bool:
@@ -60,7 +56,6 @@ class RunResult:
 
     traj: Trajectory
     J: float
-    interval_values: tuple
     interval_solutions: tuple
     schedule: RhcSchedule
 
@@ -83,7 +78,7 @@ def build_schedule(N: int, M: int, T: int) -> RhcSchedule:
     else:
         step = N - M
         t_list = tuple(range(1, T + 1, step))
-    return RhcSchedule(N=N, M=M, T=T, t_list=t_list, n_m=N - M)
+    return RhcSchedule(N=N, M=M, T=T, t_list=t_list)
 
 
 def run_policy(
@@ -98,9 +93,6 @@ def run_policy(
     solve the previewed window problem, apply the leading inputs. Each
     window after the first warm-starts from the unapplied tail of the
     previous window's solution, zero-padded to its horizon.
-
-    Previews are exact, so the realized state at the next window start must
-    equal the solver's prediction; that is checked at runtime.
     """
     T = sched.T
     if len(w_full) < T:
@@ -116,10 +108,7 @@ def run_policy(
     x = np.asarray(x1, dtype=float).reshape(sys.n)
     states = np.empty((T + 1, sys.n))
     inputs = np.empty((T, sys.m))
-    interval_values = []
     interval_solutions = []
-    prev_sol: HorizonSolution | None = None
-    prev_applied = 0
 
     for i, t_i in enumerate(sched.t_list):
         N_i = sched.horizon_at(i)
@@ -128,8 +117,8 @@ def run_policy(
             sys=sys, x0=x, costs=costs, t0=t_i - 1, w_preview=window, N=N_i
         )
         u0 = None
-        if prev_sol is not None:
-            tail = prev_sol.u_opt[prev_applied:]
+        if i > 0:
+            tail = interval_solutions[-1].u_opt[sched.applied_at(i - 1):]
             u0 = np.zeros((N_i, sys.m))
             keep = min(len(tail), N_i)
             u0[:keep] = tail[:keep]
@@ -139,24 +128,14 @@ def run_policy(
             raise RuntimeError(
                 f"solver failed on interval {i + 1} starting at t={t_i}: {exc}"
             ) from exc
-        interval_values.append(sol.value)
         interval_solutions.append(sol)
 
         applied = sched.applied_at(i)
         done = t_i - 1 + applied  # steps taken once this interval's inputs are in
         u_applied = sol.u_opt[:applied]
-        predicted = rollout(sys, x, u_applied, window.w[:applied]).states
         inputs[t_i - 1:done] = u_applied
         states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done])
         x = states[done]
-        drift = float(np.max(np.abs(predicted[applied] - x)))
-        if drift > PREDICTION_TOL * max(1.0, float(np.max(np.abs(x)))):
-            raise RuntimeError(
-                f"predicted state diverged from the realized state at "
-                f"t={t_i + applied} (interval {i + 1}): drift {drift:.3e}"
-            )
-        prev_sol = sol
-        prev_applied = applied
 
     traj = Trajectory(
         states=states, inputs=inputs, disturbances=w_full.w[:T].copy()
@@ -165,19 +144,7 @@ def run_policy(
     return RunResult(
         traj=traj,
         J=J,
-        interval_values=tuple(interval_values),
         interval_solutions=tuple(interval_solutions),
         schedule=sched,
     )
 
-
-def run_standard_rhc(
-    sys: LinearSystem,
-    costs: CostModel,
-    w_full: DisturbanceSequence,
-    x1,
-    N: int,
-    T: int,
-) -> RunResult:
-    """Replan-every-step baseline: the overlap policy with M = N-1."""
-    return run_policy(sys, costs, w_full, x1, build_schedule(N, N - 1, T))

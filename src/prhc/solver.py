@@ -251,10 +251,9 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
     u, value, iterations, converged = min(
         candidates, key=lambda r: float(np.linalg.norm(r[0]))
     )
-    u_opt = u.reshape(p.N, p.sys.m)
     return HorizonSolution(
-        u_opt=u_opt,
-        value=horizon_objective(p, u_opt),
+        u_opt=u.reshape(p.N, p.sys.m),
+        value=value,
         converged=converged,
         iterations=iterations,
     )

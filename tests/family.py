@@ -46,7 +46,7 @@ def _spike_disturbance(sys, costs, sched, rng, w_c):
     """Background draw plus one step carrying most of the energy, placed at
     the offset (within the first audited window) with the largest response."""
     n, N, M, T = sys.n, sched.N, sched.M, sched.T
-    t_b = 1 + sched.n_m
+    t_b = 1 + N - M
     P = quadratic_value_form(sys, costs, t_b - 1, N)
     best = None
     for k in range(M, N - 1):  # offset N-1 never affects in-window states

@@ -8,29 +8,18 @@ from prhc.bounds import (
     GainCertificate,
     a_factor,
     certify,
-    disturbance_gain,
     gain_bound_for_preview,
     kappa,
     omega_op,
     recursion_audit,
 )
 from prhc.costs import EnvelopeParams, QuadraticCost
-from prhc.linsys import DisturbanceSequence, LinearSystem, Trajectory
-from prhc.policy import RunResult, build_schedule, run_policy
+from prhc.linsys import DisturbanceSequence, LinearSystem
+from prhc.policy import build_schedule, run_policy
 
 
 def make_params(beta, zeta=None, gamma=1.0):
     return EnvelopeParams.from_alphas(beta, 1.0, gamma_bar_sq=gamma, zeta=zeta)
-
-
-def manual_result(J, w_rows, T=None):
-    w = np.asarray(w_rows, dtype=float)
-    T = T or w.shape[0]
-    n = w.shape[1]
-    traj = Trajectory(states=np.zeros((T + 1, n)), inputs=np.zeros((T, 1)),
-                      disturbances=w)
-    return RunResult(traj=traj, J=J, interval_values=(), interval_solutions=(),
-                     schedule=build_schedule(T, 1, T) if T > 1 else None)
 
 
 class TestKappa:
@@ -152,28 +141,6 @@ class TestPreviewGainBound:
         assert np.isfinite(pb.gamma_op_sq)
 
 
-class TestDisturbanceGain:
-    def test_hand_value(self):
-        res = manual_result(3.0, [[1.0, 0.0], [0.0, 1.0]])
-        w = DisturbanceSequence.from_array([[1.0, 0.0], [0.0, 1.0]])
-        assert disturbance_gain(res, w) == pytest.approx(1.5, abs=1e-15)
-
-    def test_zero_cost_run(self):
-        res = manual_result(0.0, [[1.0, 0.0], [0.0, 1.0]])
-        w = DisturbanceSequence.from_array([[1.0, 0.0], [0.0, 1.0]])
-        assert disturbance_gain(res, w) == 0.0
-
-    def test_zero_energy_rejected(self):
-        res = manual_result(1.0, [[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="gain undefined"):
-            disturbance_gain(res, DisturbanceSequence.zeros(2, 2))
-
-    def test_short_sequence_rejected(self):
-        res = manual_result(1.0, [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="spans"):
-            disturbance_gain(res, DisturbanceSequence.from_array([[1.0, 0.0]]))
-
-
 class TestCertify:
     def test_zero_disturbance_zero_start(self):
         rng = np.random.default_rng(3)
@@ -198,7 +165,7 @@ class TestCertify:
             cert = certify(res, sc.params, sc.sched, sigma_x1=0.0)
             assert cert.conditions_ok
             assert cert.satisfied
-            assert cert.certified_params
+            assert sc.params.certified
             assert cert.J <= cert.bound * (1 + 1e-9)
             if cert.energy > 0:
                 assert cert.gain * cert.energy == pytest.approx(cert.J, rel=1e-9)

@@ -140,6 +140,19 @@ class TestStoredReports:
         assert proc.stderr.startswith("error: JSON row 0: missing keys ['J']")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["certify", "audit"])
+    @pytest.mark.parametrize("config,message", [
+        ({"sample_budget": None}, "sample_budget must be an integer >= 1"),
+        ([], "JSON config is not an object"),
+    ])
+    def test_bad_config_is_usage_error(self, tmp_path, command, config, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"config": config, "rows": []}))
+        proc = run_cli(command, "--in", path, expect=2)
+        assert proc.stderr.startswith("error: JSON config")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestOracle:
     def test_full_preview_matches_grid(self):

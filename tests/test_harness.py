@@ -406,7 +406,8 @@ class TestReports:
         rows = [self.row(), self.row(seed=1, policy="standard", M=5,
                                      bound=float("inf"), omega_op=float("nan"),
                                      satisfied=False)]
-        rep = ExperimentReport(config={"command": "run", "seed": 0}, rows=rows)
+        rep = ExperimentReport(config={"command": "run", "seed": 0, "sample_budget": 1},
+                               rows=rows)
         for fmt in ("csv", "json"):
             path = tmp_path / f"report.{fmt}"
             emit_report(rep, fmt, path)
@@ -457,4 +458,24 @@ class TestReports:
     def test_json_wrong_type_rejected(self, tmp_path, key, value):
         path = self.json_report(tmp_path, lambda r: r.update({key: value}))
         with pytest.raises(ValueError, match=f"key {key} has the wrong type"):
+            load_report(path)
+
+    @pytest.mark.parametrize("config", [[], None, "x", 3])
+    def test_json_config_not_an_object_rejected(self, tmp_path, config):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"config": config, "rows": []}))
+        with pytest.raises(ValueError, match="JSON config is not an object"):
+            load_report(path)
+
+    @pytest.mark.parametrize("budget", [None, 0, -3, True, 100.0, "100"])
+    def test_json_bad_sample_budget_rejected(self, tmp_path, budget):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"config": {"sample_budget": budget}, "rows": []}))
+        with pytest.raises(ValueError, match="sample_budget must be an integer >= 1"):
+            load_report(path)
+
+    def test_json_rows_not_an_array_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"config": {}, "rows": 5}))
+        with pytest.raises(ValueError, match="JSON rows is not an array"):
             load_report(path)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-import prhc.policy
 import prhc.solver
 from prhc.costs import NonConvexCost, QuadraticCost
-from prhc.linsys import DisturbanceSequence, LinearSystem
-from prhc.policy import RhcSchedule, build_schedule, run_policy, run_standard_rhc
+from prhc.linsys import DisturbanceSequence, LinearSystem, rollout
+from prhc.policy import build_schedule, run_policy
 from prhc.solver import HorizonProblem, SolverConfig, solve_quadratic
 
 
@@ -39,7 +38,7 @@ class TestBuildSchedule:
     def test_consecutive_gaps_and_coverage(self):
         sched = build_schedule(6, 3, 15)
         gaps = np.diff(sched.t_list)
-        assert np.all(gaps == sched.n_m)
+        assert np.all(gaps == sched.N - sched.M)
         assert sched.t_list[0] == 1 and sched.t_list[-1] <= 15
         applied = sum(sched.applied_at(i) for i in range(len(sched.t_list)))
         assert applied == 15
@@ -73,7 +72,8 @@ class TestRunPolicy:
                          np.zeros(2), sched)
         assert res.J == 0.0
         np.testing.assert_array_equal(res.traj.inputs, np.zeros((10, 1)))
-        assert all(v == pytest.approx(0.0, abs=1e-15) for v in res.interval_values)
+        assert all(s.value == pytest.approx(0.0, abs=1e-15)
+                   for s in res.interval_solutions)
 
     def test_full_preview_equals_batch_optimum(self):
         rng = np.random.default_rng(1)
@@ -212,22 +212,22 @@ class TestRunPolicy:
         with pytest.raises(RuntimeError, match="interval 2"):
             run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6))
 
-    def test_prediction_drift_is_an_error(self, monkeypatch):
-        original = prhc.policy.rollout
-        calls = []
-
-        def drifting(sys, x1, u_seq, w_seq):
-            traj = original(sys, x1, u_seq, w_seq)
-            calls.append(x1)
-            if len(calls) == 2:  # the state predicted at the end of interval 2
-                traj.states[-1] += 1e-3
-            return traj
-
-        monkeypatch.setattr(prhc.policy, "rollout", drifting)
-        sys = LinearSystem(A=[[0.5]], B=[[1.0]])
-        w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
-        with pytest.raises(RuntimeError, match=r"diverged .*\(interval 2\)"):
-            run_policy(sys, scalar_quad(6), w, [0.0], build_schedule(3, 1, 6))
+    @pytest.mark.parametrize("kind,m,N,M,T", [
+        ("quadratic", 1, 4, 2, 9),    # last window truncated at T
+        ("quadratic", 2, 5, 2, 11),
+        ("nonconvex", 2, 4, 1, 7),
+    ])
+    def test_states_replay_through_rollout(self, kind, m, N, M, T):
+        rng = np.random.default_rng(11)
+        sys = LinearSystem(A=rng.uniform(-0.6, 0.6, (2, 2)),
+                           B=rng.uniform(-1, 1, (2, m)))
+        costs = random_quad(rng, 2, m, T) if kind == "quadratic" else NonConvexCost(b=0.2)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (T, 2)))
+        x1 = rng.uniform(-1, 1, 2)
+        sched = build_schedule(N, M, T)
+        res = run_policy(sys, costs, w, x1, sched)
+        replay = rollout(sys, x1, res.traj.inputs, res.traj.disturbances)
+        np.testing.assert_array_equal(replay.states, res.traj.states)
 
     def test_stage_costs_filled_and_sum_to_J(self):
         rng = np.random.default_rng(8)
@@ -242,14 +242,13 @@ class TestRunPolicy:
 
 class TestStandardRhc:
     def test_replans_every_step(self):
-        sched_equiv = build_schedule(3, 2, 7)
-        assert sched_equiv.t_list == tuple(range(1, 8))
+        N, T = 3, 7
         sys = LinearSystem(A=[[0.8]], B=[[1.0]])
-        costs = scalar_quad(7)
-        w = DisturbanceSequence.from_array(np.full((7, 1), 0.25))
-        res = run_standard_rhc(sys, costs, w, [0.0], N=3, T=7)
+        costs = scalar_quad(T)
+        w = DisturbanceSequence.from_array(np.full((T, 1), 0.25))
+        res = run_policy(sys, costs, w, [0.0], build_schedule(N, N - 1, T))
         assert res.schedule.M == 2
-        assert res.schedule.t_list == sched_equiv.t_list
+        assert res.schedule.t_list == tuple(range(1, T + 1))
 
     def test_full_preview_case_matches_policy(self):
         rng = np.random.default_rng(9)
@@ -257,7 +256,7 @@ class TestStandardRhc:
         costs = random_quad(rng, 2, 1, 5)
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (5, 2)))
         x1 = rng.uniform(-1, 1, 2)
-        res = run_standard_rhc(sys, costs, w, x1, N=5, T=5)
+        res = run_policy(sys, costs, w, x1, build_schedule(5, 4, 5))
         batch = solve_quadratic(HorizonProblem(
             sys=sys, x0=x1, costs=costs, t0=0, w_preview=w, N=5))
         assert res.J == pytest.approx(batch.value, rel=1e-9)

@@ -215,6 +215,24 @@ class TestSolveGeneral:
         assert values.size > 0
         assert np.all(np.diff(values) <= 1e-12)
 
+    @pytest.mark.parametrize("kind", ["nonconvex", "set_distance"])
+    def test_value_equals_objective_at_returned_inputs(self, kind):
+        # the value is the winning descent's own cost, bit for bit the
+        # window objective at the returned inputs
+        rng = np.random.default_rng(21)
+        sys = LinearSystem(A=rng.uniform(-0.5, 0.5, (2, 2)), B=[[1.0], [0.6]])
+        w = rng.uniform(0, 0.3, (5, 2))
+        if kind == "nonconvex":
+            costs, cfg = NonConvexCost(b=0.2), SolverConfig(seed=4, restarts=5)
+        else:
+            costs = SetDistanceCost(rng.uniform(0.1, 1, 5), center=[0.5, 0.5],
+                                    radius=0.25)
+            cfg = SolverConfig()
+        for _ in range(4):
+            p = make_problem(sys, costs, rng.uniform(-1.5, 1.5, 2), w)
+            sol = solve_general(p, cfg, u0=rng.normal(size=5))
+            assert sol.value == horizon_objective(p, sol.u_opt)
+
     def test_restart_tie_break_prefers_low_energy(self):
         sys = LinearSystem(A=[[0.0]], B=[[1.0]])
         p = make_problem(sys, DoubleWellCost(), [0.0], [[0.0]])
