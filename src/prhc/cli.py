@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from .bounds import certify, recursion_audit
-from .costs import sigma_eval
+from .costs import SAMPLE_BUDGET, sigma_eval
 from .harness import (
     ExperimentReport,
-    ReportRow,
-    Scenario,
     ScenarioConfig,
     aggregate_report,
     brute_force_oracle,
+    default_policies,
     emit_report,
     gen_scenario,
     load_report,
@@ -37,6 +36,7 @@ __all__ = ["main"]
 
 COST_ALIASES = {"quad": "quadratic", "nonconvex": "nonconvex",
                 "setdist": "set_distance"}
+M_RULES = {"half": "overlap", "standard": "standard"}  # --m-rule -> named policy
 AUDIT_SLACK_FLOOR = -1e-6
 RECHECK_REL_TOL = 1e-9
 
@@ -63,7 +63,7 @@ _OPTION_SPEC = {
     "m_rule": (str, "half"),
     "out": (str, None),
     "format": (str, "csv"),
-    "sample_budget": (int, 100),
+    "sample_budget": (int, SAMPLE_BUDGET),
     "iters": (int, 10),
     "N_list": (_parse_n_list, (6, 9)),
     "grid_res": (float, 1e-3),
@@ -117,18 +117,14 @@ def _cost_kind(alias: str) -> str:
 
 
 def _pick_policy(N: int, M, m_rule: str) -> tuple:
+    """(label, M): an explicit M takes the first named policy it matches."""
+    policies = default_policies(N)
     if M is not None:
         M = int(M)
-        if M == max(1, N // 2):
-            return "overlap", M
-        if M == N - 1:
-            return "standard", M
-        return "custom", M
-    if m_rule == "half":
-        return "overlap", max(1, N // 2)
-    if m_rule == "standard":
-        return "standard", max(1, N - 1)
-    raise ValueError(f"m-rule must be half or standard, got {m_rule!r}")
+        return next((name for name, M_p in policies if M_p == M), "custom"), M
+    if m_rule not in M_RULES:
+        raise ValueError(f"m-rule must be half or standard, got {m_rule!r}")
+    return M_RULES[m_rule], dict(policies)[M_RULES[m_rule]]
 
 
 def _emit(report: ExperimentReport, fmt: str, out) -> None:
@@ -177,20 +173,6 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _scenario_for_row(row: ReportRow) -> Scenario:
-    cfg = ScenarioConfig(cost_kind=row.cost_kind, n=row.n, m=row.m,
-                         T=row.T, N=row.N)
-    return gen_scenario(row.seed, cfg)
-
-
-def _replay_row(row: ReportRow, sample_budget: int):
-    sc = _scenario_for_row(row)
-    params = scenario_params(sc, sample_budget=sample_budget)
-    sched = build_schedule(row.N, row.M, row.T)
-    res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
-    return sc, params, sched, res
-
-
 def _close(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
@@ -199,56 +181,72 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= RECHECK_REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def _cmd_certify(args) -> int:
+def _replay(args, command: str, noun: str, check) -> int:
+    """Replay every row of a stored report and print one line per row.
+
+    Rows sharing a scenario (the overlap and standard rows of one seed)
+    share its envelope constants, which are computed once. `check(row, sc,
+    params, sched, res)` returns the rest of the row's line and whether the
+    row passed.
+    """
     report = load_report(args.infile)
     budget = args.sample_budget
     if budget is None:
-        budget = report.config.get("sample_budget", 100)
+        budget = report.config.get("sample_budget", SAMPLE_BUDGET)
+    envelopes = {}
     failures = 0
     for i, row in enumerate(report.rows):
-        sc, params, sched, res = _replay_row(row, budget)
-        cert = certify(res, params, sched,
-                       sigma_x1=float(sigma_eval(sc.costs, sc.x1)))
-        problems = []
-        if not _close(res.J, row.J):
-            problems.append(f"J {res.J!r} != stored {row.J!r}")
-        if not _close(cert.bound, row.bound):
-            problems.append(f"bound {cert.bound!r} != stored {row.bound!r}")
-        if cert.satisfied != row.satisfied:
-            problems.append(f"satisfied {cert.satisfied} != stored {row.satisfied}")
-        verdict = "ok" if not problems else "MISMATCH: " + "; ".join(problems)
+        key = (row.seed, row.cost_kind, row.n, row.m, row.T, row.N)
+        if key not in envelopes:
+            sc = gen_scenario(row.seed, ScenarioConfig(
+                cost_kind=row.cost_kind, n=row.n, m=row.m, T=row.T, N=row.N))
+            envelopes[key] = sc, scenario_params(sc, sample_budget=budget)
+        sc, params = envelopes[key]
+        sched = build_schedule(row.N, row.M, row.T)
+        res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
+        text, ok = check(row, sc, params, sched, res)
         print(f"row {i}: seed={row.seed} {row.cost_kind} {row.policy} "
-              f"N={row.N} M={row.M} J={row.J:.6g} bound={row.bound:.6g} "
-              f"satisfied={str(row.satisfied).lower()} recheck={verdict}")
-        failures += bool(problems)
-    print(f"certify: {len(report.rows)} rows, {failures} mismatches")
+              f"N={row.N} M={row.M} {text}")
+        failures += not ok
+    print(f"{command}: {len(report.rows)} rows, {failures} {noun}")
     return 1 if failures else 0
+
+
+def _recheck(row, sc, params, sched, res) -> tuple:
+    cert = certify(res, params, sched,
+                   sigma_x1=float(sigma_eval(sc.costs, sc.x1)))
+    problems = []
+    if not _close(res.J, row.J):
+        problems.append(f"J {res.J!r} != stored {row.J!r}")
+    if not _close(cert.bound, row.bound):
+        problems.append(f"bound {cert.bound!r} != stored {row.bound!r}")
+    if cert.satisfied != row.satisfied:
+        problems.append(f"satisfied {cert.satisfied} != stored {row.satisfied}")
+    verdict = "ok" if not problems else "MISMATCH: " + "; ".join(problems)
+    return (f"J={row.J:.6g} bound={row.bound:.6g} "
+            f"satisfied={str(row.satisfied).lower()} recheck={verdict}",
+            not problems)
+
+
+def _audit_row(row, sc, params, sched, res) -> tuple:
+    try:
+        slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
+    except ValueError as exc:
+        # contraction factor undefined below the stability threshold;
+        # nothing to audit for such rows
+        return f"skipped: {exc}", True
+    worst = min(slacks) if slacks else float("nan")
+    ok = (not slacks) or worst >= AUDIT_SLACK_FLOOR
+    return (f"intervals={len(slacks)} min_slack={worst:.3e} "
+            f"{'pass' if ok else 'FAIL'}", ok)
+
+
+def _cmd_certify(args) -> int:
+    return _replay(args, "certify", "mismatches", _recheck)
 
 
 def _cmd_audit(args) -> int:
-    report = load_report(args.infile)
-    budget = args.sample_budget
-    if budget is None:
-        budget = report.config.get("sample_budget", 100)
-    failures = 0
-    for i, row in enumerate(report.rows):
-        sc, params, sched, res = _replay_row(row, budget)
-        head = (f"row {i}: seed={row.seed} {row.cost_kind} {row.policy} "
-                f"N={row.N} M={row.M}")
-        try:
-            slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
-        except ValueError as exc:
-            # contraction factor undefined below the stability threshold;
-            # nothing to audit for such rows
-            print(f"{head} skipped: {exc}")
-            continue
-        worst = min(slacks) if slacks else float("nan")
-        ok = (not slacks) or worst >= AUDIT_SLACK_FLOOR
-        print(f"{head} intervals={len(slacks)} "
-              f"min_slack={worst:.3e} {'pass' if ok else 'FAIL'}")
-        failures += not ok
-    print(f"audit: {len(report.rows)} rows, {failures} failures")
-    return 1 if failures else 0
+    return _replay(args, "audit", "failures", _audit_row)
 
 
 def _cmd_oracle(args) -> int:
@@ -258,7 +256,7 @@ def _cmd_oracle(args) -> int:
                          T=opts["T"], N=opts["T"])  # full preview: one window
     sc = gen_scenario(opts["seed"], cfg)
     J_grid, u_star = brute_force_oracle(sc, opts["grid_res"], opts["u_box"])
-    sched = build_schedule(sc.N, max(1, sc.N - 1), sc.T)
+    sched = build_schedule(sc.N, dict(sc.policies)["standard"], sc.T)
     res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
     diff = res.J - J_grid
     print(f"J_grid={J_grid!r}")

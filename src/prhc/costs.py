@@ -34,10 +34,11 @@ __all__ = [
 SIGMA_FLOOR = 1e-9          # below this, sigma is treated as zero in sampled ratios
 CERT_GRID_RATIO = 1.05      # spacing of the certificate snapping grid
 SAMPLE_X_BOX = 2.0          # sampled envelope: states uniform on [-2, 2]^n
-# sampled envelope: disturbance components uniform on [0, 1], the same box
-# as ScenarioConfig's default w_low/w_high
-SAMPLE_W_LOW = 0.0
-SAMPLE_W_HIGH = 1.0
+SAMPLE_BUDGET = 100         # window solves behind one sampled envelope estimate
+# disturbance components are uniform on [W_LOW, W_HIGH], both in generated
+# scenarios and in the sampled envelope's window draws
+W_LOW = 0.0
+W_HIGH = 1.0
 
 
 class CostModel:
@@ -397,7 +398,7 @@ def estimate_gamma_alpha_upper(
     sys: LinearSystem,
     costs: CostModel,
     N: int,
-    sample_budget: int = 200,
+    sample_budget: int = SAMPLE_BUDGET,
     seed: int = 0,
     solver_cfg=None,
 ) -> UpperEstimate:
@@ -424,7 +425,7 @@ def estimate_gamma_alpha_upper(
 
     rng = np.random.default_rng(seed)
     max_t0 = 0 if costs.length is None else max(costs.length - N, 0)
-    w_cap = max(abs(SAMPLE_W_LOW), abs(SAMPLE_W_HIGH)) * np.sqrt(sys.n) + 1e-9
+    w_cap = max(abs(W_LOW), abs(W_HIGH)) * np.sqrt(sys.n) + 1e-9
 
     def window_value(t0, x, w):
         p = HorizonProblem(
@@ -458,7 +459,7 @@ def estimate_gamma_alpha_upper(
     for _ in range(sample_budget - n_zero):
         t0 = int(rng.integers(0, max_t0 + 1))
         x = rng.uniform(-SAMPLE_X_BOX, SAMPLE_X_BOX, sys.n)
-        w = rng.uniform(SAMPLE_W_LOW, SAMPLE_W_HIGH, (N, sys.n))
+        w = rng.uniform(W_LOW, W_HIGH, (N, sys.n))
         energy = float(np.sum(w * w))
         if energy <= 0:
             continue
@@ -472,7 +473,7 @@ def estimate_params(
     sys: LinearSystem,
     costs: CostModel,
     N: int,
-    sample_budget: int = 200,
+    sample_budget: int = SAMPLE_BUDGET,
     seed: int = 0,
     solver_cfg=None,
 ) -> EnvelopeParams:

@@ -20,6 +20,9 @@ import numpy as np
 
 from .bounds import a_factor, certify, omega_op
 from .costs import (
+    SAMPLE_BUDGET,
+    W_HIGH,
+    W_LOW,
     CostModel,
     EnvelopeParams,
     NonConvexCost,
@@ -63,15 +66,26 @@ REFINE_POINTS = 33           # grid points per axis on each refinement level
 REFINE_SAFETY = 8            # kept box half-width, in units of current spacing
 EVAL_CHUNK = 1 << 18         # (prefix, input) pairs costed per vectorized block
 
+# the fixed experiment family (see ScenarioConfig)
+A_LOW = 0.0
+Q_LOW, Q_HIGH = 1.0, 3.0
+WELL_OFFSET = 0.2
+WEIGHT_FLOOR = 0.05
+CENTER_COORD = 0.5
+RADIUS = 0.25
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs that, together with a seed, fully determine a scenario.
 
-    Ranges default to the experiment family: A entries uniform on [0,1],
-    disturbance components uniform on [0,1], quadratic cost diagonals
-    uniform on [1,3], cubic-well offset 0.2, target ball of radius 0.25
-    centered at coordinate 0.5 with weights kept away from zero.
+    The rest of the experiment family is fixed by module constants: A
+    entries uniform on [A_LOW, a_high] = [0, 1] by default, disturbance
+    components uniform on [costs.W_LOW, costs.W_HIGH] = [0, 1], quadratic
+    cost diagonals uniform on [Q_LOW, Q_HIGH] = [1, 3], cubic-well offset
+    WELL_OFFSET = 0.2, and a target ball of radius RADIUS = 0.25 centered
+    at coordinate CENTER_COORD = 0.5, with weights redrawn until all are at
+    least WEIGHT_FLOOR = 0.05.
     """
 
     cost_kind: str = "quadratic"
@@ -79,16 +93,7 @@ class ScenarioConfig:
     m: int = 1
     T: int = 15
     N: int = 6
-    a_low: float = 0.0
     a_high: float = 1.0
-    w_low: float = 0.0
-    w_high: float = 1.0
-    q_low: float = 1.0
-    q_high: float = 3.0
-    well_offset: float = 0.2
-    weight_floor: float = 0.05
-    center_coord: float = 0.5
-    radius: float = 0.25
 
     def __post_init__(self):
         if self.cost_kind not in COST_KINDS:
@@ -102,19 +107,8 @@ class ScenarioConfig:
             raise ValueError(f"preview must satisfy N <= T, got N={self.N}, T={self.T}")
         if self.cost_kind == "nonconvex" and self.n < 2:
             raise ValueError("nonconvex cost needs state dimension n >= 2")
-        for lo, hi, label in (
-            (self.a_low, self.a_high, "A entry range"),
-            (self.w_low, self.w_high, "disturbance range"),
-            (self.q_low, self.q_high, "cost diagonal range"),
-        ):
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise ValueError(f"{label} [{lo}, {hi}] is invalid")
-        if self.q_low <= 0:
-            raise ValueError(f"cost diagonals must stay positive, got low end {self.q_low}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if not 0 <= self.weight_floor < 1:
-            raise ValueError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
+        if not (math.isfinite(self.a_high) and self.a_high >= A_LOW):
+            raise ValueError(f"A entry range [{A_LOW}, {self.a_high}] is invalid")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -154,27 +148,27 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
     cfg = config or ScenarioConfig()
     rng = np.random.default_rng(seed)
     n, m, T = cfg.n, cfg.m, cfg.T
-    A = rng.uniform(cfg.a_low, cfg.a_high, (n, n))
+    A = rng.uniform(A_LOW, cfg.a_high, (n, n))
     B = np.ones((n, m))
     sys = LinearSystem(A=A, B=B)
-    w = rng.uniform(cfg.w_low, cfg.w_high, (T, n))
-    w_c = math.sqrt(n) * max(abs(cfg.w_low), abs(cfg.w_high))
+    w = rng.uniform(W_LOW, W_HIGH, (T, n))
+    w_c = math.sqrt(n) * max(abs(W_LOW), abs(W_HIGH))
     w_full = DisturbanceSequence(w=w, w_c=w_c)
 
     if cfg.cost_kind == "quadratic":
-        q = rng.uniform(cfg.q_low, cfg.q_high, (T, n))
-        r = rng.uniform(cfg.q_low, cfg.q_high, (T, m))
+        q = rng.uniform(Q_LOW, Q_HIGH, (T, n))
+        r = rng.uniform(Q_LOW, Q_HIGH, (T, m))
         Q_seq = np.stack([np.diag(q[t]) for t in range(T)])
         R_seq = np.stack([np.diag(r[t]) for t in range(T)])
         costs: CostModel = QuadraticCost(Q_seq, R_seq)
     elif cfg.cost_kind == "nonconvex":
-        costs = NonConvexCost(b=cfg.well_offset)
+        costs = NonConvexCost(b=WELL_OFFSET)
     else:
         a_seq = rng.uniform(0.0, 1.0, T)
-        while a_seq.min() < cfg.weight_floor:
+        while a_seq.min() < WEIGHT_FLOOR:
             a_seq = rng.uniform(0.0, 1.0, T)
         costs = SetDistanceCost(
-            a_seq=a_seq, center=np.full(n, cfg.center_coord), radius=cfg.radius
+            a_seq=a_seq, center=np.full(n, CENTER_COORD), radius=RADIUS
         )
 
     return Scenario(
@@ -196,7 +190,7 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
 SAMPLING_SOLVER = SolverConfig(max_iters=120, grad_tol=1e-6, restarts=2)
 
 
-def scenario_params(sc: Scenario, sample_budget: int = 200) -> EnvelopeParams:
+def scenario_params(sc: Scenario, sample_budget: int = SAMPLE_BUDGET) -> EnvelopeParams:
     """Envelope constants for a scenario: exact for quadratic costs, sampled
     otherwise. The sampling seed is tied to the scenario seed."""
     return estimate_params(
@@ -269,7 +263,7 @@ class ExperimentReport:
 def run_comparison(
     sc: Scenario,
     params: EnvelopeParams | None = None,
-    sample_budget: int = 200,
+    sample_budget: int = SAMPLE_BUDGET,
 ) -> list:
     """Run every policy of the scenario and certify each realized gain.
 
@@ -317,7 +311,7 @@ def run_table1(
     iters: int = 10,
     N_list: tuple = (6, 9),
     config: ScenarioConfig | None = None,
-    sample_budget: int = 200,
+    sample_budget: int = SAMPLE_BUDGET,
     cost_kinds: tuple = COST_KINDS,
 ) -> ExperimentReport:
     """Full comparison protocol: every cost kind x preview length x seed,
@@ -592,7 +586,7 @@ def _json_config(doc: dict) -> dict:
     config = doc.get("config", {})
     if not isinstance(config, dict):
         raise ValueError(f"JSON config is not an object: {config!r}")
-    budget = config.get("sample_budget", 1)
+    budget = config.get("sample_budget", SAMPLE_BUDGET)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"JSON config: sample_budget must be an integer >= 1, got {budget!r}")
     return config

@@ -15,7 +15,7 @@ import numpy as np
 from . import solver as _solver
 from .costs import CostModel, total_cost
 from .linsys import DisturbanceSequence, LinearSystem, Trajectory, _propagate
-from .solver import HorizonProblem, SolverConfig
+from .solver import HorizonProblem
 
 __all__ = [
     "RhcSchedule",
@@ -87,12 +87,12 @@ def run_policy(
     w_full: DisturbanceSequence,
     x1,
     sched: RhcSchedule,
-    cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Roll the policy over [1, T]: at each window start observe the state,
-    solve the previewed window problem, apply the leading inputs. Each
-    window after the first warm-starts from the unapplied tail of the
-    previous window's solution, zero-padded to its horizon.
+    solve the previewed window problem with the default SolverConfig, apply
+    the leading inputs. Each window after the first warm-starts from the
+    unapplied tail of the previous window's solution, zero-padded to its
+    horizon.
     """
     T = sched.T
     if len(w_full) < T:
@@ -123,7 +123,7 @@ def run_policy(
             keep = min(len(tail), N_i)
             u0[:keep] = tail[:keep]
         try:
-            sol = _solver.solve(problem, cfg, u0=u0)
+            sol = _solver.solve(problem, u0=u0)
         except RuntimeError as exc:
             raise RuntimeError(
                 f"solver failed on interval {i + 1} starting at t={t_i}: {exc}"

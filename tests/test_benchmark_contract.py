@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from prhc.harness import Scenario
+from prhc.harness import Scenario, ScenarioConfig
 from prhc.policy import RunResult
 from prhc.solver import HorizonSolution
 
@@ -44,6 +44,7 @@ def test_worker_count_resolves():
     (RunResult, ("interval_solutions",)),
     (Scenario, ("seed", "cost_kind", "sys", "costs", "w_full", "x1", "T", "N",
                 "policies")),
+    (ScenarioConfig, ("cost_kind", "n", "m", "T", "N", "a_high")),
 ])
 def test_fields_read_by_the_benchmark_exist(cls, names):
     fields = {f.name for f in dataclasses.fields(cls)}

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from prhc import cli
 from prhc.harness import CSV_HEADER, load_report
 
 
@@ -152,6 +153,32 @@ class TestStoredReports:
         assert proc.stderr.startswith("error: JSON config")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestReplay:
+    @pytest.mark.parametrize("command,summary", [("certify", "0 mismatches"),
+                                                 ("audit", "0 failures")])
+    def test_envelope_built_once_per_scenario(self, tmp_path, monkeypatch,
+                                              capsys, command, summary):
+        # a table1 report holds an overlap and a standard row per scenario
+        out = tmp_path / "t1.json"
+        assert cli.main(["table1", "--iters", "1", "--N-list", "4", "--T", "8",
+                         "--sample-budget", "8", "--format", "json",
+                         "--out", str(out)]) == 0
+        calls = []
+        real = cli.scenario_params
+
+        def counting(sc, **kwargs):
+            calls.append((sc.seed, sc.cost_kind, sc.N))
+            return real(sc, **kwargs)
+
+        monkeypatch.setattr(cli, "scenario_params", counting)
+        capsys.readouterr()
+        assert cli.main([command, "--in", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(load_report(out).rows) == 6
+        assert len(calls) == len(set(calls)) == 3
+        assert len(lines) == 7 and lines[-1] == f"{command}: 6 rows, {summary}"
 
 
 class TestOracle:

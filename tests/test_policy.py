@@ -7,7 +7,7 @@ import prhc.solver
 from prhc.costs import NonConvexCost, QuadraticCost
 from prhc.linsys import DisturbanceSequence, LinearSystem, rollout
 from prhc.policy import build_schedule, run_policy
-from prhc.solver import HorizonProblem, SolverConfig, solve_quadratic
+from prhc.solver import HorizonProblem, solve_quadratic
 
 
 def scalar_quad(T):
@@ -180,9 +180,8 @@ class TestRunPolicy:
         costs = NonConvexCost(b=0.2)
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (8, 2)))
         sched = build_schedule(4, 2, 8)
-        cfg = SolverConfig(seed=7)
-        a = run_policy(sys, costs, w, np.zeros(2), sched, cfg)
-        b = run_policy(sys, costs, w, np.zeros(2), sched, cfg)
+        a = run_policy(sys, costs, w, np.zeros(2), sched)
+        b = run_policy(sys, costs, w, np.zeros(2), sched)
         np.testing.assert_array_equal(a.traj.inputs, b.traj.inputs)
         np.testing.assert_array_equal(a.traj.states, b.traj.states)
         assert a.J == b.J
