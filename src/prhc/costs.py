@@ -75,7 +75,11 @@ class CostModel:
 
 
 class QuadraticCost(CostModel):
-    """c_t(x, u) = x'Q_t x + u'R_t u with positive-definite Q_t, R_t."""
+    """c_t(x, u) = x'Q_t x + u'R_t u with positive-definite Q_t, R_t.
+
+    Only the symmetric parts of Q_t and R_t enter the cost, so those are what
+    the model stores; the gradient and the exact window solve read them as is.
+    """
 
     convex = True
 
@@ -90,9 +94,11 @@ class QuadraticCost(CostModel):
             raise ValueError(
                 f"Q_seq has {Q.shape[0]} stages but R_seq has {R.shape[0]}"
             )
+        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+        R = 0.5 * (R + R.transpose(0, 2, 1))
         for name, seq in (("Q", Q), ("R", R)):
             for t, mat in enumerate(seq):
-                lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+                lam = float(np.linalg.eigvalsh(mat)[0])
                 if lam <= 0:
                     raise ValueError(
                         f"{name}_seq[{t}] is not positive definite (lambda_min={lam:.3g})"
@@ -316,9 +322,7 @@ def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
     eval/sigma over a sample grid, flagged as not certified.
     """
     if isinstance(costs, QuadraticCost):
-        lam = min(
-            float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]) for Q in costs.Q_seq
-        )
+        lam = min(float(np.linalg.eigvalsh(Q)[0]) for Q in costs.Q_seq)
         return AlphaEstimate(value=lam, certified=True)
     if isinstance(costs, SetDistanceCost):
         return AlphaEstimate(value=float(costs.a_seq.min()), certified=True)
@@ -338,16 +342,18 @@ def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
 
 
 def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
-    """(Qbar, G'Qbar, G'Qbar G + Rbar) of the window from stage t0, where Qbar
-    and Rbar are the block-diagonal stage weights over the steps of sd."""
+    """(G'Qbar, G'Qbar G + Rbar) of the window from stage t0, where Qbar and
+    Rbar are the block-diagonal stage weights over the steps of sd.
+
+    Assembled block by block; neither weight matrix is formed densely.
+    """
     n, m, N = sd.n, sd.m, sd.N
-    Qbar = np.zeros((n * N, n * N))
-    Rbar = np.zeros((m * N, m * N))
-    for k in range(N):
-        Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = costs.Q_seq[t0 + k]
-        Rbar[k * m:(k + 1) * m, k * m:(k + 1) * m] = costs.R_seq[t0 + k]
-    GtQ = sd.G.T @ Qbar
-    return Qbar, GtQ, GtQ @ sd.G + Rbar
+    G_rows = sd.G.reshape(N, n, m * N).transpose(0, 2, 1)   # block k: G_k'
+    GtQ = (G_rows @ costs.Q_seq[t0:t0 + N]).transpose(1, 0, 2).reshape(m * N, n * N)
+    normal = GtQ @ sd.G
+    k = np.arange(N)
+    normal.reshape(N, m, N, m)[k, :, k, :] += costs.R_seq[t0:t0 + N]  # + Rbar
+    return GtQ, normal
 
 
 def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horizon: int):
@@ -360,27 +366,33 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
 
 
 def _value_form(sd: StackedDynamics, costs: QuadraticCost, t0: int):
-    Qbar, GtQ, normal = _condensed_qp(sd, costs, t0)
+    """P = S'(Qbar - GtQ' normal^-1 GtQ) S with S = [F, H], in factored form.
+
+    With Q_k = L_k L_k' and normal = L_c L_c', P = Z'Z - Y'Y for
+    Z = blockdiag(L_k') S and Y = L_c^-1 GtQ S.
+    """
+    n, N = sd.n, sd.N
+    GtQ, normal = _condensed_qp(sd, costs, t0)
     S = np.hstack([sd.F, sd.H])
-    deflated = Qbar - GtQ.T @ np.linalg.solve(normal, GtQ)
-    P = S.T @ deflated @ S
+    Lt = np.linalg.cholesky(costs.Q_seq[t0:t0 + N]).transpose(0, 2, 1)
+    Z = (Lt @ S.reshape(N, n, -1)).reshape(n * N, -1)
+    Y = np.linalg.solve(np.linalg.cholesky(normal), GtQ @ S)
+    P = Z.T @ Z - Y.T @ Y
     return 0.5 * (P + P.T)
 
 
 def _exact_quadratic_upper(sys, costs, N):
-    L, n, m = costs.length, sys.n, sys.m
-    sd = stack_dynamics(sys, min(N, L))
+    L, n = costs.length, sys.n
     alpha_hi = 0.0
     gamma_sq = 0.0
     for t0 in range(L):
         h = min(N, L - t0)
-        if h < sd.N:  # tail window: the leading h blocks equal stack_dynamics(sys, h)
-            sd = StackedDynamics(sd.F[:n * h], sd.G[:n * h, :m * h],
-                                 sd.H[:n * h, :n * h], n, m, h)
-        P = _value_form(sd, costs, t0)
+        P = _value_form(stack_dynamics(sys, h), costs, t0)
         cross = float(np.linalg.norm(P[:n, n:], 2))
-        lam_x = max(float(np.linalg.eigvalsh(P[:n, :n])[-1]), 0.0)
-        lam_w = max(float(np.linalg.eigvalsh(P[n:, n:])[-1]), 0.0)
+        lam_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
+        # H's last block column is zero, and so are the last block row and
+        # column of the w-block; they add only a zero eigenvalue
+        lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
         alpha_hi = max(alpha_hi, lam_x + cross)
         gamma_sq = max(gamma_sq, lam_w + cross)
     return alpha_hi, gamma_sq

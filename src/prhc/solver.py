@@ -266,7 +266,7 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
         raise ValueError("solve_quadratic requires a quadratic cost model")
     m, N = p.sys.m, p.N
     sd = stack_dynamics(p.sys, N)
-    _, GtQ, normal = _condensed_qp(sd, p.costs, p.t0)
+    GtQ, normal = _condensed_qp(sd, p.costs, p.t0)
     free = sd.F @ p.x0 + sd.H @ p.w_preview.w.ravel()
     try:
         u_flat = np.linalg.solve(normal, -GtQ @ free)

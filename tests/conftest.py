@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import prhc
+from prhc import linsys
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -20,3 +21,17 @@ def _children_import_this_prhc():
         mp.setenv("PYTHONPATH", str(Path(prhc.__file__).resolve().parents[1]),
                   prepend=os.pathsep)
         yield
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """List that gains one (system, N) entry per full build of a stack."""
+    builds = []
+    build = linsys._build_stack
+
+    def counting(sys, N):
+        builds.append((sys, N))
+        return build(sys, N)
+
+    monkeypatch.setattr(linsys, "_build_stack", counting)
+    return builds

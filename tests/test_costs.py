@@ -227,19 +227,24 @@ class TestUpperEstimate:
 
 class TestQuadraticValueForm:
     def test_exact_envelope_equals_per_window_value_forms(self):
-        # the exact envelope builds one N-step stack and serves the shorter
-        # tail windows from its leading blocks; the constants must equal,
-        # bit for bit, those of a fresh value form per window start
+        # the exact envelope serves the shorter tail windows from the leading
+        # blocks of the system's N-step stack; the constants must equal, bit
+        # for bit, those of a value form over a freshly built stack per window
+        # start. The last block of each w-block is zero and the envelope
+        # leaves it out of the eigenvalue problem.
         rng = np.random.default_rng(9)
         n, m, N, L = 3, 2, 5, 9
         sys = LinearSystem(A=rng.uniform(-1, 1, (n, n)), B=rng.uniform(-1, 1, (n, m)))
         costs = random_quad(rng, n, m, L)
         alpha_hi = gamma_sq = 0.0
         for t0 in range(L):
-            P = quadratic_value_form(sys, costs, t0, min(N, L - t0))
+            h = min(N, L - t0)
+            P = quadratic_value_form(LinearSystem(A=sys.A, B=sys.B), costs, t0, h)
+            assert not np.any(P[n * h:]) and not np.any(P[:, n * h:])
             cross = float(np.linalg.norm(P[:n, n:], 2))
             alpha_hi = max(alpha_hi, float(np.linalg.eigvalsh(P[:n, :n])[-1]) + cross)
-            gamma_sq = max(gamma_sq, float(np.linalg.eigvalsh(P[n:, n:])[-1]) + cross)
+            lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
+            gamma_sq = max(gamma_sq, lam_w + cross)
         est = estimate_gamma_alpha_upper(sys, costs, N=N)
         assert (est.alpha_hi, est.gamma_bar_sq) == (alpha_hi, gamma_sq)
 

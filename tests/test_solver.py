@@ -135,6 +135,20 @@ class TestSolveQuadratic:
         solve_quadratic(p)
         assert calls == []
 
+    def test_non_symmetric_weights_use_their_symmetric_part(self):
+        # x'Qx sees only the symmetric part of Q; the closed form and the
+        # descent gradient must minimize that same cost
+        Q = np.array([[1.0, 2.0], [-1.5, 1.0]])
+        costs = QuadraticCost(np.stack([Q] * 4), np.stack([[[1.0]]] * 4))
+        sys = LinearSystem(A=[[0.9, 0.3], [-0.2, 0.8]], B=[[0.0], [1.0]])
+        w = np.random.default_rng(8).uniform(0, 1, (4, 2))
+        p = make_problem(sys, costs, [1.0, -1.0], w)
+        exact = solve_quadratic(p)
+        descent = solve_general(p)
+        assert descent.converged
+        assert exact.value <= descent.value
+        assert exact.value == pytest.approx(descent.value, abs=1e-6)
+
     def test_rejects_non_quadratic(self):
         sys = LinearSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]])
         p = make_problem(sys, NonConvexCost(), [0.0, 0.0], [[0.0, 0.0]])
