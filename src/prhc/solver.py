@@ -259,6 +259,17 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
     )
 
 
+def _stage_forms(v, M):
+    """v[k]' M[k] v[k] for every k, with the bits QuadraticCost.eval gives
+    each stage. numpy's einsum sums such a form in one running sum over
+    (i, j), alone as in a batch, except that a lone 2-vector's form is
+    summed as its two row sums."""
+    if v.shape[-1] == 2:
+        rows = np.einsum("...i,...ij,...j->...i", v, M, v)
+        return rows[:, 0] + rows[:, 1]
+    return np.einsum("...i,...ij,...j->...", v, M, v)
+
+
 def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     """Exact window minimizer from the stacked normal equations
     (G'QG + R) u = -G'Q (F x0 + H w)."""
@@ -273,9 +284,17 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"normal matrix is singular: {exc}") from exc
     u_opt = u_flat.reshape(N, m)
+    # horizon_objective's stage costs in one batch, summed in its order
+    xs = _propagate(p.sys, p.x0, u_opt[:-1], p.w_preview.w[:-1])
+    stages = slice(p.t0, p.t0 + N)
+    stage = (_stage_forms(xs, p.costs.Q_seq[stages])
+             + _stage_forms(u_opt, p.costs.R_seq[stages]))
+    value = 0.0
+    for c in stage.tolist():
+        value += c
     return HorizonSolution(
         u_opt=u_opt,
-        value=horizon_objective(p, u_opt),
+        value=value,
         converged=True,
         iterations=0,
     )

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through fresh interpreter processes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -64,6 +65,17 @@ class TestRun:
         assert doc["config"]["seed"] == 5
         assert doc["rows"][0]["cost_kind"] == "set_distance"
         assert doc["rows"][0]["certified"] is False
+
+    def test_long_preview_certifies_a_finite_satisfied_bound(self, tmp_path):
+        # the default protocol's certified rows all have an infinite bound;
+        # this configuration reaches the regime where the bound is finite,
+        # so a change that made every certificate vacuous fails here
+        out = tmp_path / "cert.csv"
+        run_cli("run", "--seed", 0, "--T", 100, "--N", 60, "--out", out)
+        row = load_report(out).rows[0]
+        assert row.policy == "overlap" and row.certified
+        assert math.isfinite(row.bound) and row.satisfied
+        assert 0 < row.J <= row.bound
 
     def test_nonconvex_cost_runs(self, tmp_path):
         out = tmp_path / "nc.csv"

@@ -149,6 +149,27 @@ class TestSolveQuadratic:
         assert exact.value <= descent.value
         assert exact.value == pytest.approx(descent.value, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_value_is_horizon_objective_bit_for_bit(self, n, m):
+        # the value is batched over the window's stages; it must equal the
+        # stage-by-stage walk exactly, on full and tail windows and with
+        # non-symmetric weights
+        rng = np.random.default_rng(10 * n + m)
+        L, N = 12, 5
+        Q = rng.normal(size=(L, n, n))
+        skew = rng.normal(size=(L, n, n))
+        Q = Q @ Q.transpose(0, 2, 1) + 0.1 * np.eye(n) + skew - skew.transpose(0, 2, 1)
+        R = rng.normal(size=(L, m, m))
+        costs = QuadraticCost(Q, R @ R.transpose(0, 2, 1) + 0.1 * np.eye(m))
+        sys = LinearSystem(A=rng.uniform(-0.6, 0.6, (n, n)), B=rng.normal(size=(n, m)))
+        for t0 in range(L):
+            h = min(N, L - t0)
+            p = make_problem(sys, costs, rng.uniform(-2, 2, n),
+                             rng.uniform(0, 1, (h, n)), t0=t0)
+            sol = solve_quadratic(p)
+            assert sol.value == horizon_objective(p, sol.u_opt)
+
     def test_rejects_non_quadratic(self):
         sys = LinearSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]])
         p = make_problem(sys, NonConvexCost(), [0.0, 0.0], [[0.0, 0.0]])
