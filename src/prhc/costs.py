@@ -102,12 +102,13 @@ class QuadraticCost(CostModel):
         Q = 0.5 * (Q + Q.transpose(0, 2, 1))
         R = 0.5 * (R + R.transpose(0, 2, 1))
         for name, seq in (("Q", Q), ("R", R)):
-            for t, mat in enumerate(seq):
-                lam = float(np.linalg.eigvalsh(mat)[0])
-                if lam <= 0:
-                    raise ValueError(
-                        f"{name}_seq[{t}] is not positive definite (lambda_min={lam:.3g})"
-                    )
+            lam = np.linalg.eigvalsh(seq)[:, 0]
+            bad = np.flatnonzero(lam <= 0)
+            if bad.size:
+                t = int(bad[0])
+                raise ValueError(
+                    f"{name}_seq[{t}] is not positive definite (lambda_min={lam[t]:.3g})"
+                )
         Q.setflags(write=False)
         R.setflags(write=False)
         self.Q_seq = Q
@@ -327,7 +328,7 @@ def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
     eval/sigma over a sample grid, flagged as not certified.
     """
     if isinstance(costs, QuadraticCost):
-        lam = min(float(np.linalg.eigvalsh(Q)[0]) for Q in costs.Q_seq)
+        lam = float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min())
         return AlphaEstimate(value=lam, certified=True)
     if isinstance(costs, SetDistanceCost):
         return AlphaEstimate(value=float(costs.a_seq.min()), certified=True)
@@ -350,7 +351,8 @@ def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
     """(G'Qbar, G'Qbar G + Rbar) of the window from stage t0, where Qbar and
     Rbar are the block-diagonal stage weights over the steps of sd.
 
-    Assembled block by block; neither weight matrix is formed densely.
+    Assembled block by block; neither weight matrix is formed densely. The
+    window solve uses both; the window value form only the normal matrix.
     """
     n, m, N = sd.n, sd.m, sd.N
     G_rows = sd.G.reshape(N, n, m * N).transpose(0, 2, 1)   # block k: G_k'
@@ -364,28 +366,52 @@ def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
 def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horizon: int):
     """Symmetric P with V_{t0}(x, w) = [x; w]' P [x; w] for the quadratic model.
 
-    w stacks the `horizon` previewed disturbance vectors of the window.
+    w stacks the `horizon` previewed disturbance vectors of the window. P is
+    exactly symmetric; a normal matrix without a Cholesky factor raises
+    ValueError naming the window start.
     """
     costs.check_horizon(t0, horizon)
-    return _value_form(stack_dynamics(sys, horizon), costs, t0)
+    return _value_form(sys, stack_dynamics(sys, horizon), costs, t0)
 
 
-def _value_form(sd: StackedDynamics, costs: QuadraticCost, t0: int):
-    """P = S'(Qbar - GtQ' normal^-1 GtQ) S with S = [F, H], in factored form.
+def _value_form(sys: LinearSystem, sd: StackedDynamics, costs: QuadraticCost, t0: int):
+    """P = K - Y'Y, the window value form, with K = S'Qbar S for S = [F, H]
+    and Y = L_c^-1 G'Qbar S, where normal = L_c L_c'.
 
-    With Q_k = L_k L_k' and normal = L_c L_c', P = Z'Z - Y'Y for
-    Z = blockdiag(L_k') S and Y = L_c^-1 GtQ S.
+    Input block c of S (x, then w_0..w_{N-1}) first reaches the window state
+    at offset c, so K's block (a, b) with a <= b is (A^(b-a))' Lam_b, from the
+    backward Lyapunov sums Lam_s = Q_s + A' Lam_{s+1} A with Lam_N = 0.
+    G = H (I kron B), so G'Qbar S is B' times each block row of K's w-rows.
+    Each Lam_s is symmetrized, each off-diagonal block of K is written with
+    its transpose, and Y'Y is one product of Y' with its own transpose,
+    which numpy evaluates symmetrically, so P is exactly symmetric.
     """
+    A, B = sys.A, sys.B
     n, N = sd.n, sd.N
-    GtQ, normal = _condensed_qp(sd, costs, t0)
-    S = np.hstack([sd.F, sd.H])
-    Lt = np.linalg.cholesky(costs.Q_seq[t0:t0 + N]).transpose(0, 2, 1)
-    Z = (Lt @ S.reshape(N, n, -1)).reshape(n * N, -1)
-    Y = np.linalg.solve(np.linalg.cholesky(normal), GtQ @ S)
-    P = Z.T @ Z
-    P -= Y.T @ Y
-    P += P.T
-    P *= 0.5
+    Q = costs.Q_seq[t0:t0 + N]
+    # [A^(N-1), ..., A^1, A^0] side by side: block row b of K, up to its
+    # diagonal, is Lam_b times the last b + 1 of them
+    powers = sd.F.reshape(N, n, n)[::-1].transpose(1, 0, 2).reshape(n, n * N)
+    C = n * (N + 1)
+    P = np.zeros((C, C))
+    lam = np.zeros((n, n))
+    for b in range(N - 1, -1, -1):
+        lam = Q[b] + A.T @ lam @ A
+        lam += lam.T
+        lam *= 0.5
+        row = lam @ powers[:, (N - 1 - b) * n:]
+        P[b * n:(b + 1) * n, :(b + 1) * n] = row
+        P[:(b + 1) * n, b * n:(b + 1) * n] = row.T
+    _, normal = _condensed_qp(sd, costs, t0)
+    try:
+        L_c = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"normal matrix of the window from start {t0} is singular: {exc}") from exc
+    # (G'Qbar S)' = K's w-columns times B per block, as K is symmetric
+    GtQS_T = (P.reshape(-1, n) @ B).reshape(C, N + 1, -1)[:, 1:].reshape(C, -1)
+    Yt = GtQS_T @ np.linalg.inv(L_c).T
+    P -= Yt @ Yt.T
     return P
 
 
@@ -413,7 +439,7 @@ def _exact_quadratic_upper(sys, costs, N):
     for t0 in range(L):
         h = min(N, L - t0)
         sd = stack_dynamics(sys, h)
-        P = _value_form(sd, costs, t0)
+        P = _value_form(sys, sd, costs, t0)
         # Cholesky returns NaNs instead of raising on NaN input, which would
         # pass the screen below
         if not np.isfinite(P).all():
@@ -427,7 +453,7 @@ def _exact_quadratic_upper(sys, costs, N):
         if c > 0.0:
             if _below(P[n:n * h, n:n * h], c):
                 continue  # this window cannot raise gamma_sq
-            P = _value_form(sd, costs, t0)  # the same bits, for eigvalsh
+            P = _value_form(sys, sd, costs, t0)  # the same bits, for eigvalsh
         lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
         gamma_sq = max(gamma_sq, lam_w + cross)
     return alpha_hi, gamma_sq
@@ -458,7 +484,8 @@ def estimate_gamma_alpha_upper(
     c*I - P_ww has a Cholesky factor, with c just below the maximum less the
     window's cross term, cannot raise gamma_bar_sq and is skipped, so both
     constants equal those of eigenvalues on every window. A non-finite value
-    form raises ValueError naming its window start. Other models are sampled:
+    form, or a normal matrix without a Cholesky factor, raises ValueError
+    naming its window start. Other models are sampled:
     alpha_hi from zero-disturbance samples, then the smallest feasible
     gamma_bar_sq over mixed samples, both snapped up onto a geometric grid.
     """

@@ -138,6 +138,14 @@ class TestAlphaLower:
         assert est.value == pytest.approx(2.0, abs=1e-12)
         assert est.certified
 
+    def test_quadratic_equals_per_stage_eigenvalues(self):
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(9, 4, 4))
+        costs = QuadraticCost(M @ M.transpose(0, 2, 1) + 0.1 * np.eye(4),
+                              np.ones((9, 1, 1)))
+        ref = min(float(np.linalg.eigvalsh(Q)[0]) for Q in costs.Q_seq)
+        assert estimate_alpha_lower(costs).value == ref
+
     def test_set_distance_min_coefficient(self):
         costs = SetDistanceCost([0.4, 0.9, 0.7], center=[0.5, 0.5], radius=0.25)
         est = estimate_alpha_lower(costs)
@@ -392,6 +400,20 @@ class TestModelInvariants:
         Q = np.stack([np.diag([1.0, -0.5])])
         R = np.stack([np.eye(1)])
         with pytest.raises(ValueError, match="positive definite"):
+            QuadraticCost(Q, R)
+
+    @pytest.mark.parametrize("bad_q, bad_r, match", [
+        ((), (1, 3), r"R_seq\[1\] is not positive definite \(lambda_min=-0\.5\)"),
+        ((2, 4), (0,), r"Q_seq\[2\] is not positive definite \(lambda_min=-0\.5\)"),
+    ])
+    def test_quadratic_names_first_indefinite_stage(self, bad_q, bad_r, match):
+        Q = np.stack([np.eye(2)] * 5)
+        R = np.stack([np.eye(1)] * 5)
+        for t in bad_q:
+            Q[t] = np.diag([1.0, -0.5])
+        for t in bad_r:
+            R[t] = -0.5
+        with pytest.raises(ValueError, match=match):
             QuadraticCost(Q, R)
 
     def test_set_distance_rejects_bad_coefficients(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import prhc.solver
-from prhc.costs import NonConvexCost, QuadraticCost
+from family import compliant_quadratic_scenario
+from prhc.costs import NonConvexCost, QuadraticCost, quadratic_value_form
 from prhc.linsys import DisturbanceSequence, LinearSystem, rollout
 from prhc.policy import build_schedule, run_policy
 from prhc.solver import HorizonProblem, solve_quadratic
@@ -259,3 +260,44 @@ class TestStandardRhc:
         batch = solve_quadratic(HorizonProblem(
             sys=sys, x0=x1, costs=costs, t0=0, w_preview=w, N=5))
         assert res.J == pytest.approx(batch.value, rel=1e-9)
+
+
+def policy_form(sys, costs, sched):
+    """P with J = z'Pz for z = (x1, w_1..w_T), for a quadratic model.
+
+    Every window input is linear in (x, w), so a run's states and inputs are
+    linear in z; the n + T*n unit runs give their maps column by column.
+    """
+    n, T = sys.n, sched.T
+    d = n * (T + 1)
+    xs = np.empty((d, T, n))
+    us = np.empty((d, T, sys.m))
+    for i, z in enumerate(np.eye(d)):
+        w = DisturbanceSequence.from_array(z[n:].reshape(T, n))
+        traj = run_policy(sys, costs, w, z[:n], sched).traj
+        xs[i], us[i] = traj.states[:T], traj.inputs
+    P = (np.einsum("itj,tjk,ltk->il", xs, costs.Q_seq, xs)
+         + np.einsum("itj,tjk,ltk->il", us, costs.R_seq, us))
+    return 0.5 * (P + P.T)
+
+
+class TestOracleGap:
+    """The oracle, the value form of one window over the whole task, never
+    costs more than a policy run from the same (x1, w): P_pol - P_oracle is
+    positive semidefinite, and zero for a single full-task window. This
+    checks the value form against policy runs, apart from the dense formula."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_never_beats_a_policy_by_less_than_zero(self, seed):
+        sc = compliant_quadratic_scenario(seed)
+        N, M, T = sc.sched.N, sc.sched.M, sc.sched.T
+        P_or = quadratic_value_form(sc.sys, sc.costs, 0, T)
+        for sched in (sc.sched, build_schedule(N, N - 1, T)):
+            P = policy_form(sc.sys, sc.costs, sched)
+            z = np.concatenate([sc.x1, sc.w.w.ravel()])
+            J = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sched).J
+            assert z @ P @ z == pytest.approx(J, rel=1e-9)
+            tol = 1e-9 * np.max(np.abs(P))
+            assert np.linalg.eigvalsh(P - P_or)[0] >= -tol
+        P = policy_form(sc.sys, sc.costs, build_schedule(T, T - 1, T))
+        assert np.max(np.abs(P - P_or)) <= 1e-9 * np.max(np.abs(P_or))

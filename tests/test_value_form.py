@@ -1,6 +1,6 @@
-"""Property tests of the exact quadratic envelope: the factored window value
-form against the dense formula, and the screened envelope against an
-unscreened per-window eigenvalue reference."""
+"""Property tests of the exact quadratic envelope: the window value form built
+from backward Lyapunov sums against the dense formula, and the screened
+envelope against an unscreened per-window eigenvalue reference."""
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ def pd_stack(rng, L, d):
 def windows(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2))
-    N = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 16))
     L = N + draw(st.integers(0, 3))
     t0 = draw(st.integers(0, L - 1))  # past L - N the window is a tail, h < N
     rho = draw(st.sampled_from([0.5, 0.95, 0.99, 1.0, 1.01]))
@@ -52,14 +52,28 @@ def windows(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(windows())
-def test_factored_form_matches_dense_formula(window):
+def test_value_form_matches_dense_formula(window):
     sys, costs, N, t0, h = window
     stack_dynamics(sys, N)  # a tail window is then served from this stack
-    P = _value_form(stack_dynamics(sys, h), costs, t0)
+    P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
     ref = dense_value_form(stack_dynamics(LinearSystem(A=sys.A, B=sys.B), h), costs, t0)
     assert P.shape == ref.shape == (sys.n * (h + 1),) * 2
     np.testing.assert_array_equal(P, P.T)
     assert np.max(np.abs(P - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_value_form_matches_dense_formula_at_benchmark_size():
+    # the quadratic_scale scenario size, on a seed whose A has spectral radius
+    # above 1, so the Lyapunov sums over 48 stages grow along the window
+    sc = gen_scenario(1, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
+                                        N=48, a_high=0.25))
+    assert np.max(np.abs(np.linalg.eigvals(sc.sys.A))) >= 1.0
+    for t0 in (0, 97, 144, 170, 191):  # full windows, then tails of 22 and 1 steps
+        h = min(sc.N, sc.T - t0)
+        P = _value_form(sc.sys, stack_dynamics(sc.sys, h), sc.costs, t0)
+        ref = dense_value_form(stack_dynamics(sc.sys, h), sc.costs, t0)
+        np.testing.assert_array_equal(P, P.T)
+        assert np.max(np.abs(P - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def window_gains(sys, costs, N):
@@ -69,7 +83,7 @@ def window_gains(sys, costs, N):
     gains = []
     for t0 in range(costs.length):
         h = min(N, costs.length - t0)
-        P = _value_form(stack_dynamics(sys, h), costs, t0)
+        P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
         cross = float(np.linalg.norm(P[:n, n:], 2))
         lam_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
         lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
@@ -173,12 +187,27 @@ def test_non_finite_value_form_names_its_window_start(monkeypatch):
     n, bad = sc.sys.n, 7
     real = costs_mod._value_form
 
-    def poisoned(sd, costs, t0):
-        P = real(sd, costs, t0)
+    def poisoned(sys, sd, costs, t0):
+        P = real(sys, sd, costs, t0)
         if t0 == bad:
             P[n + 1, n + 2] = P[n + 2, n + 1] = np.nan
         return P
 
     monkeypatch.setattr(costs_mod, "_value_form", poisoned)
     with pytest.raises(ValueError, match=f"from start {bad} is not finite"):
+        estimate_gamma_alpha_upper(sc.sys, sc.costs, sc.N)
+
+
+def test_normal_matrix_without_cholesky_factor_names_its_window_start(monkeypatch):
+    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
+                                        N=6, a_high=0.5))
+    bad = 7
+    real = costs_mod._condensed_qp
+
+    def indefinite(sd, costs, t0):
+        GtQ, normal = real(sd, costs, t0)
+        return GtQ, -normal if t0 == bad else normal
+
+    monkeypatch.setattr(costs_mod, "_condensed_qp", indefinite)
+    with pytest.raises(ValueError, match=f"window from start {bad} is singular"):
         estimate_gamma_alpha_upper(sc.sys, sc.costs, sc.N)
