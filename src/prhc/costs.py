@@ -39,11 +39,16 @@ SAMPLE_BUDGET = 100         # window solves behind one sampled envelope estimate
 # scenarios and in the sampled envelope's window draws
 W_LOW = 0.0
 W_HIGH = 1.0
-# relative slack of the exact envelope's Cholesky screen. Cholesky's backward
-# error on a k x k block is about (k + 1) * eps * ||c*I - P_ww|| (Higham,
-# Accuracy and Stability of Numerical Algorithms, ch. 10), under 1e-13 * c for
-# the blocks here, so a screened window's eigvalsh value stays below the maximum
-SCREEN_MARGIN = 1e-10
+# relative slack of the exact envelope's sweep screens. The LQR sweep and the
+# dense value form are two float64 evaluations of the same window constants;
+# they disagree by up to 1.0e-9 relative at quadratic_scale seed 4
+# (rho(A) = 1.157), where the dense form's K - Y'Y cancels, and by under
+# 1e-12 at seeds 0-9 otherwise. A window gets the dense form for alpha_hi when
+# its sweep value is within this fraction of the sweep maximum, and is
+# excluded from gamma_bar_sq only below a level this fraction under the
+# running maximum less its cross term. A game-sweep pivot eigenvalue below
+# this fraction of its block's largest also sends the window to the dense form
+SCREEN_MARGIN = 1e-6
 
 
 class CostModel:
@@ -415,47 +420,153 @@ def _value_form(sys: LinearSystem, sd: StackedDynamics, costs: QuadraticCost, t0
     return P
 
 
-def _below(W, c):
-    """True when c*I - W has a Cholesky factor, which certifies lambda_max(W) < c.
+def _first_without_cholesky(U):
+    """Index of the first matrix of the stack U without a Cholesky factor."""
+    for i, u in enumerate(U):
+        try:
+            np.linalg.cholesky(u)
+        except np.linalg.LinAlgError:
+            return i
+    return None
 
-    Overwrites W with c*I - W. The test is a function of its own so that no
-    view of the overwritten value form outlives it: a live view keeps that
-    value form in memory while the next one is built, which raised the peak
-    RSS of a quadratic_scale benchmark pass by about 1.5 MB.
+
+def _lqr_sweep(sys, costs, N):
+    """(lambda_max(P_xx), ||P_xw||_2) of every window start's value form, from
+    one backward Riccati sweep over all starts at once.
+
+    With the window's stage weights and Lam_h = 0, stage k runs
+    U_k = R_k + B'Lam_{k+1}B, K_k = U_k^-1 B'Lam_{k+1}A, A_cl,k = A - B K_k and
+    Lam_k = Q_k + K_k'R_k K_k + A_cl,k'Lam_{k+1}A_cl,k, a sum of PSD terms
+    with no cancellation; P_xx = Lam_0. Block j of P_xw is
+    (A_cl,j ... A_cl,0)'Lam_{j+1}, so P_xw P_xw' is Gram_0 for
+    Gram_k = A_cl,k'(Lam_{k+1}^2 + Gram_{k+1})A_cl,k with Gram_h = 0. At
+    offset k the live starts are t0 < L - k, whose weights are Q_seq[k:L];
+    a start joins the prefix with Lam = Gram = 0. The normal matrix of a
+    window is positive definite exactly when all its U_k are, so a U_k
+    without a Cholesky factor, or a non-finite Lam_0 or Gram_0, raises
+    ValueError naming the window start.
     """
-    W *= -1.0
-    W[np.diag_indices_from(W)] += c
-    try:
-        np.linalg.cholesky(W)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    A, B = sys.A, sys.B
+    L, n = costs.length, sys.n
+    lam = np.zeros((L, n, n))
+    gram = np.zeros((L, n, n))
+    for k in range(min(N, L) - 1, -1, -1):
+        a = L - k
+        Lam = lam[:a]
+        LB = Lam @ B
+        U = costs.R_seq[k:] + B.T @ LB
+        try:
+            np.linalg.cholesky(U)
+        except np.linalg.LinAlgError as exc:
+            t0 = _first_without_cholesky(U)
+            raise ValueError(
+                f"normal matrix of the window from start {t0} is singular: {exc}") from exc
+        K = np.linalg.solve(U, LB.transpose(0, 2, 1) @ A)
+        Acl = A - B @ K
+        AclT = Acl.transpose(0, 2, 1)
+        gram[:a] = AclT @ (Lam @ Lam + gram[:a]) @ Acl
+        new = costs.Q_seq[k:] + K.transpose(0, 2, 1) @ costs.R_seq[k:] @ K + AclT @ Lam @ Acl
+        lam[:a] = 0.5 * (new + new.transpose(0, 2, 1))
+    bad = np.flatnonzero(~(np.isfinite(lam).all(axis=(1, 2))
+                           & np.isfinite(gram).all(axis=(1, 2))))
+    if bad.size:
+        raise ValueError(f"value form of the window from start {bad[0]} is not finite")
+    cross = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return np.linalg.eigvalsh(lam)[:, -1], cross
+
+
+def _game_certifies(sys, costs, N, starts, c):
+    """True where the sweep certifies lambda_max(P_ww) < c for the window
+    from starts[i] (ascending) at its own level c[i].
+
+    The game sweep runs, with Pi = Lam^c_{k+1}, Lam^c_h = 0 and E = [B I],
+    D_k = [[R_k + B'Pi B, B'Pi], [Pi B, Pi - c I]] and
+    Lam^c_k = Q_k + A'Pi A - (E'Pi A)' D_k^-1 (E'Pi A). With x_0 = 0,
+    sum_k x_k'Q_k x_k + u_k'R_k u_k - c||w_k||^2 is congruent to
+    blockdiag(D_k), so by Sylvester's law of inertia it has the inertia of
+    the D_k together; it has n*h negative directions, and no zero one,
+    exactly when c I - P_ww is positive definite. A window is certified only
+    when that count is exact, c > 0 and every pivot eigenvalue exceeds
+    SCREEN_MARGIN times the largest of its block; a window that fails a
+    pivot bound, or whose Lam^c is not finite, goes on with Pi = 0.
+    """
+    A, B = sys.A, sys.B
+    L, n, m = costs.length, sys.n, sys.m
+    E = np.hstack([B, np.eye(n)])
+    w_diag = (slice(None), np.arange(m, m + n), np.arange(m, m + n))
+    ok = c > 0.0
+    negative = np.zeros(starts.size, dtype=int)
+    pi = np.zeros((starts.size, n, n))
+    for k in range(min(N, L) - 1, -1, -1):
+        a = int(np.searchsorted(starts, L - k))
+        t = starts[:a] + k
+        Pi = pi[:a]
+        PiE = Pi @ E
+        D = E.T @ PiE
+        D[:, :m, :m] += costs.R_seq[t]
+        D[w_diag] -= c[:a, None]
+        piv = np.linalg.eigvalsh(D)
+        size = np.abs(piv)
+        live = ok[:a] & (size.min(axis=1) > SCREEN_MARGIN * size.max(axis=1))
+        negative[:a] += np.count_nonzero(piv < 0.0, axis=1)
+        D[~live] = np.eye(m + n)
+        EPA = PiE.transpose(0, 2, 1) @ A
+        new = costs.Q_seq[t] + A.T @ Pi @ A - EPA.transpose(0, 2, 1) @ np.linalg.solve(D, EPA)
+        live &= np.isfinite(new).all(axis=(1, 2))
+        new[~live] = 0.0
+        ok[:a] = live
+        pi[:a] = 0.5 * (new + new.transpose(0, 2, 1))
+    return ok & (negative == n * np.minimum(N, L - starts))
 
 
 def _exact_quadratic_upper(sys, costs, N):
+    """(alpha_hi, gamma_bar_sq) of the quadratic model, bit for bit the maxima
+    over every window start of eigvalsh on its dense value form.
+
+    The LQR sweep gives every window's lambda_max(P_xx) plus cross term;
+    alpha_hi takes the dense form of the windows within SCREEN_MARGIN of the
+    largest. For gamma_bar_sq, the window with the largest cross term among
+    those left gets the dense form, and a game sweep at each window's level
+    (running maximum less its cross term) drops the windows it certifies;
+    this repeats until no window is left. Windows that tie the maximum, as
+    under time-invariant weights, are never certified and all get the
+    dense form.
+    """
     L, n = costs.length, sys.n
-    alpha_hi = 0.0
+    lam_x, cross = _lqr_sweep(sys, costs, N)
+    dense = {}
+
+    def candidates(t0):
+        # (alpha, gamma) candidates of eigvalsh on the window's value form
+        if t0 not in dense:
+            h = min(N, L - t0)
+            P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
+            if not np.isfinite(P).all():
+                raise ValueError(f"value form of the window from start {t0} is not finite")
+            cr = float(np.linalg.norm(P[:n, n:], 2))
+            # H's last block column is zero, and so are the last block row and
+            # column of the w-block; they add only a zero eigenvalue
+            top_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
+            top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
+            dense[t0] = (top_x + cr, top_w + cr)
+        return dense[t0]
+
+    swept = lam_x + cross
+    near = np.flatnonzero(swept >= swept.max() * (1.0 - SCREEN_MARGIN))
+    alpha_hi = max(candidates(int(t0))[0] for t0 in near)
     gamma_sq = 0.0
-    for t0 in range(L):
-        h = min(N, L - t0)
-        sd = stack_dynamics(sys, h)
-        P = _value_form(sys, sd, costs, t0)
-        # Cholesky returns NaNs instead of raising on NaN input, which would
-        # pass the screen below
-        if not np.isfinite(P).all():
-            raise ValueError(f"value form of the window from start {t0} is not finite")
-        cross = float(np.linalg.norm(P[:n, n:], 2))
-        lam_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
-        alpha_hi = max(alpha_hi, lam_x + cross)
-        # H's last block column is zero, and so are the last block row and
-        # column of the w-block; they add only a zero eigenvalue
-        c = (gamma_sq - cross) * (1.0 - SCREEN_MARGIN)
-        if c > 0.0:
-            if _below(P[n:n * h, n:n * h], c):
-                continue  # this window cannot raise gamma_sq
-            P = _value_form(sys, sd, costs, t0)  # the same bits, for eigvalsh
-        lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
-        gamma_sq = max(gamma_sq, lam_w + cross)
+    live = np.arange(L)
+    swept_at = None
+    while live.size:
+        i = int(np.argmax(cross[live]))
+        gamma_sq = max(gamma_sq, candidates(int(live[i]))[1])
+        live = np.delete(live, i)
+        # certification depends on gamma_sq alone, so a window the last
+        # sweep kept stays kept until gamma_sq moves
+        if live.size and gamma_sq != swept_at:
+            c = (gamma_sq - cross[live]) * (1.0 - SCREEN_MARGIN)
+            live = live[~_game_certifies(sys, costs, N, live, c)]
+            swept_at = gamma_sq
     return alpha_hi, gamma_sq
 
 
@@ -479,15 +590,17 @@ def estimate_gamma_alpha_upper(
 
     Quadratic costs take an exact path: V_t is a quadratic form in (x, w),
     evaluated over every window start, and the constants come from block
-    eigenvalues with the cross term dominated. The w-block eigenvalues are
-    computed only where the running maximum can move: a window whose
-    c*I - P_ww has a Cholesky factor, with c just below the maximum less the
-    window's cross term, cannot raise gamma_bar_sq and is skipped, so both
-    constants equal those of eigenvalues on every window. A non-finite value
-    form, or a normal matrix without a Cholesky factor, raises ValueError
-    naming its window start. Other models are sampled:
-    alpha_hi from zero-disturbance samples, then the smallest feasible
-    gamma_bar_sq over mixed samples, both snapped up onto a geometric grid.
+    eigenvalues with the cross term dominated. Two backward Riccati sweeps
+    over all window starts at once decide which windows need their dense
+    value form: an LQR sweep gives every window's lambda_max(P_xx) and cross
+    term, and a game sweep certifies c*I - P_ww positive definite by an
+    inertia count. Only the windows the sweeps cannot exclude get the dense
+    form and eigenvalues, so both constants equal those of eigenvalues on
+    every window. A non-finite sweep or value form, or a normal matrix
+    without a Cholesky factor, raises ValueError naming its window start.
+    Other models are sampled: alpha_hi from zero-disturbance samples, then
+    the smallest feasible gamma_bar_sq over mixed samples, both snapped up
+    onto a geometric grid.
     """
     if N < 1:
         raise ValueError(f"horizon must be at least 1, got {N}")

@@ -1,6 +1,7 @@
 """Property tests of the exact quadratic envelope: the window value form built
-from backward Lyapunov sums against the dense formula, and the screened
-envelope against an unscreened per-window eigenvalue reference."""
+from backward Lyapunov sums against the dense formula, the LQR and game
+sweeps against the value form, and the screened envelope against an
+unscreened per-window eigenvalue reference."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from prhc import costs as costs_mod  # noqa: E402
-from prhc.costs import QuadraticCost, _value_form, estimate_gamma_alpha_upper  # noqa: E402
+from prhc.costs import (  # noqa: E402
+    QuadraticCost,
+    _value_form,
+    estimate_gamma_alpha_upper,
+    quadratic_value_form,
+)
 from prhc.harness import ScenarioConfig, gen_scenario  # noqa: E402
 from prhc.linsys import LinearSystem, stack_dynamics  # noqa: E402
 
@@ -34,6 +40,12 @@ def pd_stack(rng, L, d):
     return M @ M.transpose(0, 2, 1) + 0.1 * np.eye(d)
 
 
+def system(rng, n, m, rho):
+    A = rng.normal(size=(n, n))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    return LinearSystem(A=A, B=rng.normal(size=(n, m)))
+
+
 @st.composite
 def windows(draw):
     n = draw(st.integers(1, 4))
@@ -43,9 +55,7 @@ def windows(draw):
     t0 = draw(st.integers(0, L - 1))  # past L - N the window is a tail, h < N
     rho = draw(st.sampled_from([0.5, 0.95, 0.99, 1.0, 1.01]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    A = rng.normal(size=(n, n))
-    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
-    sys = LinearSystem(A=A, B=rng.normal(size=(n, m)))
+    sys = system(rng, n, m, rho)
     costs = QuadraticCost(pd_stack(rng, L, n), pd_stack(rng, L, m))
     return sys, costs, N, t0, min(N, L - t0)
 
@@ -98,22 +108,21 @@ def unscreened_upper(sys, costs, N):
 
 @pytest.fixture
 def counted_envelope(monkeypatch):
-    """estimate_gamma_alpha_upper that also returns how many eigvalsh calls
-    it made on w-blocks: each window start makes one on its x-block, the
-    rest are on w-blocks."""
-    calls = []
-    real = np.linalg.eigvalsh
+    """estimate_gamma_alpha_upper that also returns the window starts whose
+    value form it evaluated densely."""
+    starts = []
+    real = costs_mod._value_form
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
+    def counting(sys, sd, costs, t0):
+        starts.append(t0)
+        return real(sys, sd, costs, t0)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(costs_mod, "_value_form", counting)
 
     def run(sys, costs, N):
-        calls.clear()
+        starts.clear()
         est = estimate_gamma_alpha_upper(sys, costs, N)
-        return (est.alpha_hi, est.gamma_bar_sq), len(calls) - costs.length
+        return (est.alpha_hi, est.gamma_bar_sq), list(starts)
 
     return run
 
@@ -124,11 +133,9 @@ def envelopes(draw):
     m = draw(st.integers(1, 2))
     N = draw(st.integers(1, 8))
     L = N + draw(st.integers(0, 6))  # the last N - 1 starts are tail windows
-    rho = draw(st.floats(0.5, 1.01))
+    rho = draw(st.floats(0.5, 1.2))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    A = rng.normal(size=(n, n))
-    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
-    sys = LinearSystem(A=A, B=rng.normal(size=(n, m)))
+    sys = system(rng, n, m, rho)
     return sys, QuadraticCost(pd_stack(rng, L, n), pd_stack(rng, L, m)), N
 
 
@@ -140,19 +147,62 @@ def test_screened_envelope_equals_unscreened_reference(case):
     assert (est.alpha_hi, est.gamma_bar_sq) == unscreened_upper(sys, costs, N)
 
 
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    N = draw(st.integers(1, 12))
+    L = N + draw(st.integers(0, 4))
+    rho = draw(st.floats(0.5, 1.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sys = system(rng, n, m, rho)
+    return sys, QuadraticCost(pd_stack(rng, L, n), pd_stack(rng, L, m)), N
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sweep_cases())
+def test_sweeps_agree_with_the_value_form(case):
+    # the LQR sweep's lambda_max(P_xx) and cross term against the value form,
+    # and the game sweep's screen at levels just below and just above each
+    # window's lambda_max(P_ww): it must never certify a level at or below it
+    sys, costs, N = case
+    n, L = sys.n, costs.length
+    starts = np.arange(L)
+    lam_x, cross = costs_mod._lqr_sweep(sys, costs, N)
+    lam_w = np.empty(L)
+    for t0 in starts:
+        h = min(N, L - t0)
+        P = quadratic_value_form(sys, costs, t0, h)
+        ref_x = np.linalg.eigvalsh(P[:n, :n]).max()
+        ref_cross = np.linalg.norm(P[:n, n:], 2)
+        assert abs(lam_x[t0] - ref_x) <= 1e-9 * ref_x
+        assert abs(cross[t0] - ref_cross) <= 1e-9 * max(ref_cross, ref_x)
+        lam_w[t0] = np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)
+    for r in (0.9, 0.999999, 1.000001, 1.1):
+        c = r * lam_w
+        certified = costs_mod._game_certifies(sys, costs, N, starts, c)
+        assert not np.any(certified & (lam_w >= c))
+    # one level for all windows, between two of their lambda_max(P_ww)
+    c = np.full(L, np.median(lam_w))
+    certified = costs_mod._game_certifies(sys, costs, N, starts, c)
+    assert not np.any(certified & (lam_w >= c))
+
+
 def test_every_full_window_a_new_record_falls_back_to_eigvalsh(counted_envelope):
     # Q_t = (1 + t) Q0: each full window's w-gain exceeds all before it, so
-    # none of them may be screened out
+    # no window can be excluded on an earlier one's gain, and the window
+    # that holds gamma_bar_sq must get the dense form
     rng = np.random.default_rng(4)
     n, m, N, L = 3, 2, 4, 10
     Q0, R0 = pd_stack(rng, 1, n)[0], pd_stack(rng, 1, m)[0]
     costs = QuadraticCost(np.stack([(1 + t) * Q0 for t in range(L)]),
                           np.stack([R0] * L))
     sys = LinearSystem(A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
-    upper, w_blocks = counted_envelope(sys, costs, N)
-    assert w_blocks >= L - N + 1
-    gains = [g[1] for g in window_gains(sys, costs, N)][:L - N + 1]
-    assert all(b > a for a, b in zip(gains, gains[1:]))
+    upper, dense = counted_envelope(sys, costs, N)
+    gains = [g[1] for g in window_gains(sys, costs, N)]
+    assert int(np.argmax(gains)) in dense
+    full = gains[:L - N + 1]
+    assert all(b > a for a, b in zip(full, full[1:]))
     assert upper == unscreened_upper(sys, costs, N)
 
 
@@ -164,8 +214,8 @@ def test_tied_full_windows_fall_back_to_eigvalsh(counted_envelope):
     costs = QuadraticCost(np.stack([pd_stack(rng, 1, n)[0]] * L),
                           np.stack([pd_stack(rng, 1, m)[0]] * L))
     sys = LinearSystem(A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
-    upper, w_blocks = counted_envelope(sys, costs, N)
-    assert w_blocks >= L - N + 1
+    upper, dense = counted_envelope(sys, costs, N)
+    assert set(range(L - N + 1)) <= set(dense)
     gains = [g[1] for g in window_gains(sys, costs, N)]
     assert len(set(gains[:L - N + 1])) == 1
     assert upper == unscreened_upper(sys, costs, N)
@@ -174,40 +224,44 @@ def test_tied_full_windows_fall_back_to_eigvalsh(counted_envelope):
 def test_screen_skips_most_w_block_eigvalsh(counted_envelope):
     sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=4, m=1, T=96,
                                         N=24, a_high=0.5))
-    upper, w_blocks = counted_envelope(sc.sys, sc.costs, sc.N)
-    assert w_blocks <= sc.T // 8
+    upper, dense = counted_envelope(sc.sys, sc.costs, sc.N)
+    assert len(dense) <= sc.T // 8
     assert upper == unscreened_upper(sc.sys, sc.costs, sc.N)
 
 
-def test_non_finite_value_form_names_its_window_start(monkeypatch):
+@pytest.fixture
+def sweep_only(counted_envelope, monkeypatch):
+    """A gen_scenario instance whose envelope must raise before it evaluates
+    any window's value form densely, so only the sweeps can see a fault.
+
+    A fault planted in stage 0 lies in the window from start 0 alone, which
+    the clean envelope of this instance never evaluates densely either."""
+    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
+                                        N=6, a_high=0.5))
+    _, dense = counted_envelope(sc.sys, sc.costs, sc.N)
+    assert dense and 0 not in dense
+
+    def forbidden(sys, sd, costs, t0):
+        pytest.fail(f"the dense value form of start {t0} was evaluated")
+
+    monkeypatch.setattr(costs_mod, "_value_form", forbidden)
+    return sc
+
+
+def test_non_finite_value_form_names_its_window_start(sweep_only, monkeypatch):
     # Cholesky returns NaNs rather than raising on NaN input, so without a
     # check a poisoned window would pass the screen and drop out unseen
-    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
-                                        N=6, a_high=0.5))
-    n, bad = sc.sys.n, 7
-    real = costs_mod._value_form
-
-    def poisoned(sys, sd, costs, t0):
-        P = real(sys, sd, costs, t0)
-        if t0 == bad:
-            P[n + 1, n + 2] = P[n + 2, n + 1] = np.nan
-        return P
-
-    monkeypatch.setattr(costs_mod, "_value_form", poisoned)
-    with pytest.raises(ValueError, match=f"from start {bad} is not finite"):
-        estimate_gamma_alpha_upper(sc.sys, sc.costs, sc.N)
+    Q = sweep_only.costs.Q_seq.copy()
+    Q[0, 1, 2] = Q[0, 2, 1] = np.nan
+    monkeypatch.setattr(sweep_only.costs, "Q_seq", Q)
+    with pytest.raises(ValueError, match="from start 0 is not finite"):
+        estimate_gamma_alpha_upper(sweep_only.sys, sweep_only.costs, sweep_only.N)
 
 
-def test_normal_matrix_without_cholesky_factor_names_its_window_start(monkeypatch):
-    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
-                                        N=6, a_high=0.5))
-    bad = 7
-    real = costs_mod._condensed_qp
-
-    def indefinite(sd, costs, t0):
-        GtQ, normal = real(sd, costs, t0)
-        return GtQ, -normal if t0 == bad else normal
-
-    monkeypatch.setattr(costs_mod, "_condensed_qp", indefinite)
-    with pytest.raises(ValueError, match=f"window from start {bad} is singular"):
-        estimate_gamma_alpha_upper(sc.sys, sc.costs, sc.N)
+def test_normal_matrix_without_cholesky_factor_names_its_window_start(sweep_only,
+                                                                      monkeypatch):
+    R = sweep_only.costs.R_seq.copy()
+    R[0] = -1e6 * np.eye(sweep_only.sys.m)
+    monkeypatch.setattr(sweep_only.costs, "R_seq", R)
+    with pytest.raises(ValueError, match="window from start 0 is singular"):
+        estimate_gamma_alpha_upper(sweep_only.sys, sweep_only.costs, sweep_only.N)
