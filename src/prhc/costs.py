@@ -146,9 +146,14 @@ class QuadraticCost(CostModel):
 
 
 class NonConvexCost(CostModel):
-    """c(x, u) = |x_1 - b|^3 + (x_2 - b)^2 + u'u; needs at least two states."""
+    """c(x, u) = |x_1 - b|^3 + (x_2 - b)^2 + u'u; needs at least two states.
 
-    convex = False
+    A convex, non-quadratic cubic well: |t|^3 has second derivative 6|t|, and
+    u'u makes every window problem strictly convex. The class name and the
+    "nonconvex" label stay because stored reports replay through the label.
+    """
+
+    convex = True
     length = None
 
     def __init__(self, b: float = 0.2):

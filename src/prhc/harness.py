@@ -185,9 +185,10 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
     )
 
 
-# window solves behind sampled envelope estimates run with loose stationarity:
-# any early stop only inflates the (advisory, uncertified) constants
-SAMPLING_SOLVER = SolverConfig(max_iters=120, grad_tol=1e-6, restarts=2)
+# window solves behind sampled envelope estimates run with a lower iteration
+# cap and loose stationarity: any early stop only inflates the (advisory,
+# uncertified) constants
+SAMPLING_SOLVER = SolverConfig(max_iters=120, grad_tol=1e-6)
 
 
 def scenario_params(sc: Scenario, sample_budget: int = SAMPLE_BUDGET) -> EnvelopeParams:

@@ -27,8 +27,6 @@ STEP_SHRINK = 0.5      # backtracking factor
 ARMIJO_C = 1e-4        # sufficient-decrease constant
 STALL_STEP = 1e-20
 MEMORY = 10            # L-BFGS curvature pairs kept
-RESTART_SCALE = 1.0    # restart spread, in units of 1 + max|u0|
-TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,21 +61,16 @@ class HorizonProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent controls: iteration cap and gradient tolerance, plus restart
-    count and seed for non-convex problems."""
+    """Descent controls: iteration cap and gradient tolerance."""
 
     max_iters: int = 500
     grad_tol: float = 1e-8
-    restarts: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (self.grad_tol > 0):
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
 
 
 @dataclass
@@ -222,35 +215,20 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
                   callback=None) -> HorizonSolution:
     """First-order solve of the window problem.
 
-    Descent over the stacked control vector with backtracking line search;
-    the gradient comes from the adjoint recursion. Non-convex models run
-    cfg.restarts extra descents from Gaussian perturbations of the start and
-    keep the best value, breaking ties by lower control energy. For
-    non-convex costs the result is an upper bound on the true window value.
+    One L-BFGS descent from u0 (zeros by default) over the stacked control
+    vector, with backtracking line search; the gradient comes from the
+    adjoint recursion. Every bundled model is convex, so the descent's
+    stationary point is the window minimizer. For a custom non-convex model
+    the returned value is an upper bound on the window minimum.
 
-    callback, when given, receives the accepted cost after each iteration of
-    every descent run; within one run the sequence is non-increasing.
+    callback, when given, receives the accepted cost after each iteration;
+    the sequence is non-increasing.
     """
     if cfg is None:
         cfg = SolverConfig()
     dim = p.N * p.sys.m
-    if u0 is None:
-        u0 = np.zeros(dim)
-    else:
-        u0 = np.asarray(u0, dtype=float).reshape(dim).copy()
-    starts = [u0]
-    if not p.costs.convex and cfg.restarts > 0:
-        rng = np.random.default_rng(cfg.seed)
-        scale = RESTART_SCALE * (1.0 + float(np.max(np.abs(u0))))
-        for _ in range(cfg.restarts):
-            starts.append(u0 + rng.normal(scale=scale, size=dim))
-    runs = [_descend(p, s, cfg, callback=callback) for s in starts]
-    best_val = min(r[1] for r in runs)
-    tol = TIE_REL * max(1.0, abs(best_val))
-    candidates = [r for r in runs if r[1] <= best_val + tol]
-    u, value, iterations, converged = min(
-        candidates, key=lambda r: float(np.linalg.norm(r[0]))
-    )
+    u0 = np.zeros(dim) if u0 is None else np.asarray(u0, dtype=float).reshape(dim)
+    u, value, iterations, converged = _descend(p, u0, cfg, callback=callback)
     return HorizonSolution(
         u_opt=u.reshape(p.N, p.sys.m),
         value=value,

@@ -17,6 +17,7 @@ from prhc.costs import (
     sigma_eval,
     total_cost,
 )
+from prhc.harness import ScenarioConfig, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem, Trajectory, stack_dynamics
 from prhc.solver import HorizonProblem, solve_quadratic
 
@@ -391,6 +392,30 @@ class TestModelInvariants:
         assert out.shape == (5, 7)
         sd = NonConvexCost().eval(0, x, u)
         assert sd.shape == (5, 7)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "nonconvex", "set_distance"])
+    def test_shipped_models_are_convex(self, kind):
+        # the flag gates the grid oracle's refinement, so it must be true,
+        # and each stage cost must pass the midpoint test on drawn (x, u)
+        sc = gen_scenario(0, ScenarioConfig(cost_kind=kind, n=3, m=2))
+        costs, n = sc.costs, sc.sys.n
+        assert costs.convex
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        z = st.lists(st.floats(-10.0, 10.0), min_size=n + sc.sys.m,
+                     max_size=n + sc.sys.m).map(np.array)
+
+        @hyp.settings(derandomize=True, deadline=None, max_examples=200)
+        @hyp.given(st.integers(0, sc.T - 1), z, z)
+        def midpoint_convex(t, z1, z2):
+            def c(z):
+                return float(costs.eval(t, z[:n], z[n:]))
+
+            c1, c2 = c(z1), c(z2)
+            scale = 1.0 + abs(c1) + abs(c2)
+            assert c((z1 + z2) / 2) <= (c1 + c2) / 2 + 1e-12 * scale
+
+        midpoint_convex()
 
     def test_nonconvex_needs_two_states(self):
         with pytest.raises(ValueError, match="at least 2"):

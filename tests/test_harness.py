@@ -26,6 +26,7 @@ from prhc.harness import (
 )
 from prhc.linsys import DisturbanceSequence, LinearSystem
 from prhc.solver import HorizonProblem, solve_quadratic
+from test_solver import DoubleWellCost
 
 
 class ZeroCost(CostModel):
@@ -303,9 +304,13 @@ class TestBruteForceOracle:
         assert abs(J - closed) <= grid_res**2
         assert J >= closed - 1e-12  # a grid point never beats the true minimum
 
-    def test_refinement_agrees_with_exhaustive(self, monkeypatch):
-        costs = unit_quad(2)
-        sc = scalar_scenario(costs, [[0.4], [0.7]], [0.8], T=2)
+    @pytest.mark.parametrize("make", [
+        lambda: scalar_scenario(unit_quad(2), [[0.4], [0.7]], [0.8], T=2),
+        lambda: gen_scenario(0, ScenarioConfig(cost_kind="nonconvex", n=2,
+                                               m=1, T=2, N=2)),
+    ], ids=["quadratic", "nonconvex"])
+    def test_refinement_agrees_with_exhaustive(self, monkeypatch, make):
+        sc = make()
         J_full, u_full = brute_force_oracle(sc, 1e-3, 2.0)
         monkeypatch.setattr(harness, "GRID_BUDGET", 10**5)
         J_zoom, u_zoom = brute_force_oracle(sc, 1e-3, 2.0)
@@ -313,8 +318,8 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(u_zoom, u_full, atol=5e-3)
 
     def test_nonconvex_over_budget_rejected(self):
-        sc = gen_scenario(0, ScenarioConfig(cost_kind="nonconvex", T=4, N=4))
-        with pytest.raises(ValueError, match="budget exceeded"):
+        sc = scalar_scenario(DoubleWellCost(), [[0.0]] * 4, [0.0], T=4)
+        with pytest.raises(ValueError, match="budget exceeded.*non-convex"):
             brute_force_oracle(sc, 1e-4, 2.0)
 
     def test_validation(self):
