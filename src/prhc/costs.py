@@ -46,8 +46,9 @@ W_HIGH = 1.0
 # 1e-12 at seeds 0-9 otherwise. A window gets the dense form for alpha_hi when
 # its sweep value is within this fraction of the sweep maximum, and is
 # excluded from gamma_bar_sq only below a level this fraction under the
-# running maximum less its cross term. A game-sweep pivot eigenvalue below
-# this fraction of its block's largest also sends the window to the dense form
+# running maximum less its cross term. The game sweep certifies a window at
+# level c only where c(1 - SCREEN_MARGIN)I - Pi~ has a Cholesky factor at
+# every stage
 SCREEN_MARGIN = 1e-6
 
 
@@ -425,53 +426,68 @@ def _value_form(sys: LinearSystem, sd: StackedDynamics, costs: QuadraticCost, t0
     return P
 
 
-def _first_without_cholesky(U):
-    """Index of the first matrix of the stack U without a Cholesky factor."""
-    for i, u in enumerate(U):
-        try:
-            np.linalg.cholesky(u)
-        except np.linalg.LinAlgError:
-            return i
-    return None
+def _has_cholesky(S):
+    """Mask of the matrices of the stack S with a Cholesky factor. A batched
+    Cholesky raises on the first failure without naming it, so a failing
+    stack is split in halves until the failures are single matrices."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        if len(S) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(S) // 2
+        return np.concatenate([_has_cholesky(S[:half]), _has_cholesky(S[half:])])
+    return np.ones(len(S), dtype=bool)
+
+
+def _riccati_step(A, B, Q, R, Lam, starts):
+    """One backward LQR stage on a stack of windows: (U, K, A_cl, Lam_k).
+
+    With Lam = Lam_{k+1} and the stage weights Q, R of each window,
+    U = R + B'Lam B, K = U^-1 B'Lam A, A_cl = A - B K and
+    Lam_k = Q + K'R K + A_cl'Lam A_cl (the Joseph form), a sum of PSD terms
+    with no cancellation, symmetrized. The normal matrix of a window is
+    positive definite exactly when all its U are, so a U without a Cholesky
+    factor raises ValueError naming starts[i], the start of its window.
+    """
+    LB = Lam @ B
+    U = R + B.T @ LB
+    try:
+        np.linalg.cholesky(U)
+    except np.linalg.LinAlgError as exc:
+        t0 = starts[int(np.argmin(_has_cholesky(U)))]
+        raise ValueError(
+            f"normal matrix of the window from start {t0} is singular: {exc}") from exc
+    K = np.linalg.solve(U, LB.transpose(0, 2, 1) @ A)
+    Acl = A - B @ K
+    new = Q + K.transpose(0, 2, 1) @ R @ K + Acl.transpose(0, 2, 1) @ Lam @ Acl
+    return U, K, Acl, 0.5 * (new + new.transpose(0, 2, 1))
 
 
 def _lqr_sweep(sys, costs, N):
     """(lambda_max(P_xx), ||P_xw||_2) of every window start's value form, from
     one backward Riccati sweep over all starts at once.
 
-    With the window's stage weights and Lam_h = 0, stage k runs
-    U_k = R_k + B'Lam_{k+1}B, K_k = U_k^-1 B'Lam_{k+1}A, A_cl,k = A - B K_k and
-    Lam_k = Q_k + K_k'R_k K_k + A_cl,k'Lam_{k+1}A_cl,k, a sum of PSD terms
-    with no cancellation; P_xx = Lam_0. Block j of P_xw is
-    (A_cl,j ... A_cl,0)'Lam_{j+1}, so P_xw P_xw' is Gram_0 for
-    Gram_k = A_cl,k'(Lam_{k+1}^2 + Gram_{k+1})A_cl,k with Gram_h = 0. At
-    offset k the live starts are t0 < L - k, whose weights are Q_seq[k:L];
-    a start joins the prefix with Lam = Gram = 0. The normal matrix of a
-    window is positive definite exactly when all its U_k are, so a U_k
-    without a Cholesky factor, or a non-finite Lam_0 or Gram_0, raises
+    Each stage is a _riccati_step with the window's stage weights from
+    Lam_h = 0; P_xx = Lam_0. Block j of P_xw is (A_cl,j ... A_cl,0)'Lam_{j+1},
+    so P_xw P_xw' is Gram_0 for Gram_k = A_cl,k'(Lam_{k+1}^2 + Gram_{k+1})A_cl,k
+    with Gram_h = 0. At offset k the live starts are t0 < L - k, whose
+    weights are Q_seq[k:L]; a start joins the prefix with Lam = Gram = 0. A
+    U_k without a Cholesky factor, or a non-finite Lam_0 or Gram_0, raises
     ValueError naming the window start.
     """
     A, B = sys.A, sys.B
     L, n = costs.length, sys.n
+    starts = np.arange(L)
     lam = np.zeros((L, n, n))
     gram = np.zeros((L, n, n))
     for k in range(min(N, L) - 1, -1, -1):
         a = L - k
         Lam = lam[:a]
-        LB = Lam @ B
-        U = costs.R_seq[k:] + B.T @ LB
-        try:
-            np.linalg.cholesky(U)
-        except np.linalg.LinAlgError as exc:
-            t0 = _first_without_cholesky(U)
-            raise ValueError(
-                f"normal matrix of the window from start {t0} is singular: {exc}") from exc
-        K = np.linalg.solve(U, LB.transpose(0, 2, 1) @ A)
-        Acl = A - B @ K
-        AclT = Acl.transpose(0, 2, 1)
-        gram[:a] = AclT @ (Lam @ Lam + gram[:a]) @ Acl
-        new = costs.Q_seq[k:] + K.transpose(0, 2, 1) @ costs.R_seq[k:] @ K + AclT @ Lam @ Acl
-        lam[:a] = 0.5 * (new + new.transpose(0, 2, 1))
+        _, _, Acl, new = _riccati_step(A, B, costs.Q_seq[k:], costs.R_seq[k:], Lam,
+                                       starts)
+        gram[:a] = Acl.transpose(0, 2, 1) @ (Lam @ Lam + gram[:a]) @ Acl
+        lam[:a] = new
     bad = np.flatnonzero(~(np.isfinite(lam).all(axis=(1, 2))
                            & np.isfinite(gram).all(axis=(1, 2))))
     if bad.size:
@@ -484,44 +500,47 @@ def _game_certifies(sys, costs, N, starts, c):
     """True where the sweep certifies lambda_max(P_ww) < c for the window
     from starts[i] (ascending) at its own level c[i].
 
-    The game sweep runs, with Pi = Lam^c_{k+1}, Lam^c_h = 0 and E = [B I],
-    D_k = [[R_k + B'Pi B, B'Pi], [Pi B, Pi - c I]] and
-    Lam^c_k = Q_k + A'Pi A - (E'Pi A)' D_k^-1 (E'Pi A). With x_0 = 0,
-    sum_k x_k'Q_k x_k + u_k'R_k u_k - c||w_k||^2 is congruent to
-    blockdiag(D_k), so by Sylvester's law of inertia it has the inertia of
-    the D_k together; it has n*h negative directions, and no zero one,
-    exactly when c I - P_ww is positive definite. A window is certified only
-    when that count is exact, c > 0 and every pivot eigenvalue exceeds
-    SCREEN_MARGIN times the largest of its block; a window that fails a
-    pivot bound, or whose Lam^c is not finite, goes on with Pi = 0.
+    The game sweep runs, with Pi = Lam^c_{k+1} and Lam^c_h = 0,
+    U_k = R_k + B'Pi B, Pi~_k = Pi - Pi B U_k^-1 B'Pi and
+    Lam^c_k = Q_k + c A'(cI - Pi~_k)^-1 Pi~_k A. With x_0 = 0,
+    sum_k x_k'Q_k x_k + u_k'R_k u_k - c||w_k||^2 is congruent to blockdiag(D_k)
+    for D_k = [[U_k, B'Pi], [Pi B, Pi - cI]], and by Sylvester's law of
+    inertia D_k has the inertia of U_k together with that of its Schur
+    complement Pi~_k - cI. When every U_k and every cI - Pi~_k is positive
+    definite the form has n*h negative directions and no zero one, which
+    holds exactly when cI - P_ww is positive definite. The stage conditions
+    are sufficient, not necessary: the stages may share the n*h negative
+    directions out unevenly, and such a window gets the dense form. A window
+    is certified only when c > 0 and, at every stage, U_k and
+    c(1 - SCREEN_MARGIN)I - Pi~_k have Cholesky factors; a window that fails
+    one, or whose Lam^c is not finite, goes on with Pi = 0.
     """
     A, B = sys.A, sys.B
     L, n, m = costs.length, sys.n, sys.m
-    E = np.hstack([B, np.eye(n)])
-    w_diag = (slice(None), np.arange(m, m + n), np.arange(m, m + n))
+    eye = np.eye(n)
     ok = c > 0.0
-    negative = np.zeros(starts.size, dtype=int)
     pi = np.zeros((starts.size, n, n))
     for k in range(min(N, L) - 1, -1, -1):
         a = int(np.searchsorted(starts, L - k))
         t = starts[:a] + k
+        ca = c[:a, None, None]
         Pi = pi[:a]
-        PiE = Pi @ E
-        D = E.T @ PiE
-        D[:, :m, :m] += costs.R_seq[t]
-        D[w_diag] -= c[:a, None]
-        piv = np.linalg.eigvalsh(D)
-        size = np.abs(piv)
-        live = ok[:a] & (size.min(axis=1) > SCREEN_MARGIN * size.max(axis=1))
-        negative[:a] += np.count_nonzero(piv < 0.0, axis=1)
-        D[~live] = np.eye(m + n)
-        EPA = PiE.transpose(0, 2, 1) @ A
-        new = costs.Q_seq[t] + A.T @ Pi @ A - EPA.transpose(0, 2, 1) @ np.linalg.solve(D, EPA)
+        PiB = Pi @ B
+        U = costs.R_seq[t] + B.T @ PiB
+        live = ok[:a] & _has_cholesky(U)
+        U[~live] = np.eye(m)
+        Pit = Pi - PiB @ np.linalg.solve(U, PiB.transpose(0, 2, 1))
+        margin = (1.0 - SCREEN_MARGIN) * ca * eye - Pit
+        margin[~live] = eye
+        live &= _has_cholesky(margin)
+        S = ca * eye - Pit
+        S[~live] = eye
+        new = costs.Q_seq[t] + ca * (A.T @ np.linalg.solve(S, Pit @ A))
         live &= np.isfinite(new).all(axis=(1, 2))
         new[~live] = 0.0
         ok[:a] = live
         pi[:a] = 0.5 * (new + new.transpose(0, 2, 1))
-    return ok & (negative == n * np.minimum(N, L - starts))
+    return ok
 
 
 def _exact_quadratic_upper(sys, costs, N):
@@ -598,11 +617,12 @@ def estimate_gamma_alpha_upper(
     eigenvalues with the cross term dominated. Two backward Riccati sweeps
     over all window starts at once decide which windows need their dense
     value form: an LQR sweep gives every window's lambda_max(P_xx) and cross
-    term, and a game sweep certifies c*I - P_ww positive definite by an
-    inertia count. Only the windows the sweeps cannot exclude get the dense
-    form and eigenvalues, so both constants equal those of eigenvalues on
-    every window. A non-finite sweep or value form, or a normal matrix
-    without a Cholesky factor, raises ValueError naming its window start.
+    term, and a game sweep certifies c*I - P_ww positive definite by
+    Cholesky tests of its stage pivots' Schur complements. Only the windows
+    the sweeps cannot exclude get the dense form and eigenvalues, so both
+    constants equal those of eigenvalues on every window. A non-finite
+    sweep or value form, or a normal matrix without a Cholesky factor,
+    raises ValueError naming its window start.
     Other models are sampled: alpha_hi from zero-disturbance samples, then
     the smallest feasible gamma_bar_sq over mixed samples, both snapped up
     onto a geometric grid.

@@ -182,12 +182,18 @@ def step(sys: LinearSystem, x, u, w) -> np.ndarray:
     return sys.A @ x + sys.B @ u + w
 
 
-def _propagate(sys: LinearSystem, x1, u, w) -> np.ndarray:
-    """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); no checks."""
+def _propagate(sys: LinearSystem, x1, u, w, K=None) -> np.ndarray:
+    """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); no checks.
+
+    With gains K (T, m, n) the inputs follow the law u_k - K_k x_k: u holds
+    the feedforward terms on entry and the applied inputs on return.
+    """
     A, B = sys.A, sys.B
     states = np.empty((len(u) + 1, sys.n))
     states[0] = x1
     for k in range(len(u)):
+        if K is not None:
+            u[k] -= K[k] @ states[k]
         states[k + 1] = A @ states[k] + B @ u[k] + w[k]
     return states
 

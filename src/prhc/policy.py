@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver as _solver
-from .costs import CostModel, total_cost
+from .costs import CostModel, QuadraticCost, total_cost
 from .linsys import DisturbanceSequence, LinearSystem, Trajectory, _propagate
 from .solver import HorizonProblem
 
@@ -89,10 +89,14 @@ def run_policy(
     sched: RhcSchedule,
 ) -> RunResult:
     """Roll the policy over [1, T]: at each window start observe the state,
-    solve the previewed window problem with the default SolverConfig, apply
-    the leading inputs. Each window after the first warm-starts from the
-    unapplied tail of the previous window's solution, zero-padded to its
-    horizon.
+    solve the previewed window problem, apply the leading inputs.
+
+    A quadratic model's windows are solved together: one backward Riccati
+    sweep over the window starts gives each window's affine law, the run
+    applies each law from the observed state, and one forward pass gives
+    every window's solution. Other models solve each window with the default
+    SolverConfig; each window after the first warm-starts from the unapplied
+    tail of the previous window's solution, zero-padded to its horizon.
     """
     T = sched.T
     if len(w_full) < T:
@@ -109,33 +113,34 @@ def run_policy(
     states = np.empty((T + 1, sys.n))
     inputs = np.empty((T, sys.m))
     interval_solutions = []
+    quadratic = isinstance(costs, QuadraticCost)
+    if quadratic:
+        starts = np.array(sched.t_list) - 1
+        K, f = _solver._window_laws(sys, costs, w_full.w, starts, sched.N)
+        finite = np.isfinite(K).all(axis=(0, 2, 3)) & np.isfinite(f).all(axis=(0, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise RuntimeError(f"solver failed on interval {i + 1} starting at "
+                               f"t={sched.t_list[i]}: non-finite window law")
 
     for i, t_i in enumerate(sched.t_list):
-        N_i = sched.horizon_at(i)
-        window = w_full.window(t_i - 1, t_i - 1 + N_i)
-        problem = HorizonProblem(
-            sys=sys, x0=x, costs=costs, t0=t_i - 1, w_preview=window, N=N_i
-        )
-        u0 = None
-        if i > 0:
-            tail = interval_solutions[-1].u_opt[sched.applied_at(i - 1):]
-            u0 = np.zeros((N_i, sys.m))
-            keep = min(len(tail), N_i)
-            u0[:keep] = tail[:keep]
-        try:
-            sol = _solver.solve(problem, u0=u0)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"solver failed on interval {i + 1} starting at t={t_i}: {exc}"
-            ) from exc
-        interval_solutions.append(sol)
-
         applied = sched.applied_at(i)
         done = t_i - 1 + applied  # steps taken once this interval's inputs are in
-        u_applied = sol.u_opt[:applied]
+        gains = None
+        if quadratic:
+            u_applied, gains = -f[:applied, i], K[:applied, i]
+        else:
+            sol = _solve_window(sys, costs, w_full, x, sched, i, interval_solutions)
+            interval_solutions.append(sol)
+            u_applied = sol.u_opt[:applied]
+        states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done],
+                                              gains)
         inputs[t_i - 1:done] = u_applied
-        states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done])
         x = states[done]
+    if quadratic:
+        applied = np.array([sched.applied_at(i) for i in range(len(sched.t_list))])
+        interval_solutions = _solver._window_plans(sys, costs, w_full.w, starts,
+                                                   applied, K, f, states, inputs)
 
     traj = Trajectory(
         states=states, inputs=inputs, disturbances=w_full.w[:T].copy()
@@ -148,3 +153,25 @@ def run_policy(
         schedule=sched,
     )
 
+
+def _solve_window(sys, costs, w_full, x, sched, i, previous):
+    """Interval i's solution from state x, warm-started from the unapplied
+    tail of the previous solution."""
+    t_i = sched.t_list[i]
+    N_i = sched.horizon_at(i)
+    window = w_full.window(t_i - 1, t_i - 1 + N_i)
+    problem = HorizonProblem(
+        sys=sys, x0=x, costs=costs, t0=t_i - 1, w_preview=window, N=N_i
+    )
+    u0 = None
+    if i > 0:
+        tail = previous[-1].u_opt[sched.applied_at(i - 1):]
+        u0 = np.zeros((N_i, sys.m))
+        keep = min(len(tail), N_i)
+        u0[:keep] = tail[:keep]
+    try:
+        return _solver.solve(problem, u0=u0)
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"solver failed on interval {i + 1} starting at t={t_i}: {exc}"
+        ) from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost, _condensed_qp
+from .costs import CostModel, QuadraticCost, _condensed_qp, _riccati_step
 from .linsys import DisturbanceSequence, LinearSystem, _propagate, stack_dynamics
 
 __all__ = [
@@ -244,7 +244,7 @@ def _stage_forms(v, M):
     summed as its two row sums."""
     if v.shape[-1] == 2:
         rows = np.einsum("...i,...ij,...j->...i", v, M, v)
-        return rows[:, 0] + rows[:, 1]
+        return rows[..., 0] + rows[..., 1]
     return np.einsum("...i,...ij,...j->...", v, M, v)
 
 
@@ -260,7 +260,8 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     try:
         u_flat = np.linalg.solve(normal, -GtQ @ free)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"normal matrix is singular: {exc}") from exc
+        raise ValueError(
+            f"normal matrix of the window from start {p.t0} is singular: {exc}") from exc
     u_opt = u_flat.reshape(N, m)
     # horizon_objective's stage costs in one batch, summed in its order
     xs = _propagate(p.sys, p.x0, u_opt[:-1], p.w_preview.w[:-1])
@@ -276,6 +277,80 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
         converged=True,
         iterations=0,
     )
+
+
+def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
+    """Affine laws u_k = -K_k x_k - f_k of the windows from starts (0-based,
+    ascending) of a quadratic model, from one backward Riccati sweep over
+    all of them at once; K is (N, W, m, n) and f is (N, W, m), offset first.
+
+    Window t0 has horizon h = min(N, L - t0) and stage weights Q_seq, R_seq
+    from t0 on. Each stage is a _riccati_step on the windows live at that
+    offset, a prefix of starts, and the feedforward follows the linear term
+    s of the cost-to-go, with s_h = 0: g = Lam_{k+1} w_{t0+k} + s_{k+1},
+    f_k = U_k^-1 B'g and s_k = A_cl,k'(g - Lam_{k+1} B f_k) + K_k'R_k f_k.
+    Offsets past a window's horizon keep K = f = 0. A U_k without a Cholesky
+    factor raises ValueError naming its window start.
+    """
+    A, B = sys.A, sys.B
+    n, m, L, W = sys.n, sys.m, costs.length, len(starts)
+    K = np.zeros((N, W, m, n))
+    f = np.zeros((N, W, m))
+    lam = np.zeros((W, n, n))
+    s = np.zeros((W, n, 1))
+    for k in range(N - 1, -1, -1):
+        a = int(np.searchsorted(starts, L - k))
+        t = starts[:a] + k
+        Lam = lam[:a]
+        R = costs.R_seq[t]
+        U, K_k, Acl, new = _riccati_step(A, B, costs.Q_seq[t], R, Lam, starts[:a])
+        g = Lam @ w[t][..., None] + s[:a]
+        f_k = np.linalg.solve(U, B.T @ g)
+        s[:a] = (Acl.transpose(0, 2, 1) @ (g - Lam @ (B @ f_k))
+                 + K_k.transpose(0, 2, 1) @ (R @ f_k))
+        lam[:a] = new
+        K[k, :a] = K_k
+        f[k, :a] = f_k[..., 0]
+    return K, f
+
+
+def _window_plans(sys: LinearSystem, costs: QuadraticCost, w, starts, applied,
+                  K, f, states, inputs) -> list:
+    """One HorizonSolution per window of a closed-loop run under the laws of
+    _window_laws, from one forward pass over the N offsets of all windows.
+
+    Window i's first applied[i] inputs and the states they reach are the
+    run's own, so each plan holds the inputs the run applied verbatim; from
+    there the window's law carries its plan on to its horizon. The value
+    sums the stage forms x'Q x + u'R u of the plan in stage order.
+    """
+    A, B = sys.A, sys.B
+    N, W = f.shape[:2]
+    h = np.minimum(N, costs.length - starts)
+    offsets = np.arange(N)
+    t = np.minimum(starts[:, None] + offsets, costs.length - 1)  # (W, N) stage
+    inside = offsets < h[:, None]
+    xs = np.zeros((W, N, sys.n))
+    us = np.zeros((W, N, sys.m))
+    ran = inside & (offsets < applied[:, None])
+    us[ran] = inputs[t[ran]]
+    ran = inside & (offsets <= applied[:, None])
+    xs[ran] = states[t[ran]]
+    value = np.zeros(W)
+    for k in range(N):
+        live = np.flatnonzero(inside[:, k] & (applied <= k))
+        if live.size:
+            x = xs[live, k]
+            u = -f[k, live] - (K[k, live] @ x[..., None])[..., 0]
+            us[live, k] = u
+            on = k + 1 < h[live]
+            if on.any():
+                xs[live[on], k + 1] = x[on] @ A.T + u[on] @ B.T + w[starts[live[on]] + k]
+        # stages past a window's horizon hold x = u = 0 and add nothing
+        value += (_stage_forms(xs[:, k], costs.Q_seq[t[:, k]])
+                  + _stage_forms(us[:, k], costs.R_seq[t[:, k]]))
+    return [HorizonSolution(u_opt=us[i, :h[i]], value=float(value[i]),
+                            converged=True, iterations=0) for i in range(W)]
 
 
 def solve(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None) -> HorizonSolution:

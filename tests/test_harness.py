@@ -215,8 +215,8 @@ class TestRunComparison:
             assert r.gain == pytest.approx(r.J / r.energy, rel=1e-12)
 
     def test_quadratic_run_builds_one_stack(self, stack_builds):
-        # the exact envelope and every window solve of both policies, tail
-        # windows included, share the system's one N-step stack
+        # the exact envelope's dense value forms, tail windows included,
+        # share the system's one N-step stack; quadratic policy runs build none
         sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", T=30, N=6))
         run_comparison(sc)
         assert len(stack_builds) == 1

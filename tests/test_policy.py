@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import prhc.solver
+from hypothesis import given, settings, strategies as st
 from family import compliant_quadratic_scenario
-from prhc.costs import NonConvexCost, QuadraticCost, quadratic_value_form
+from prhc.costs import NonConvexCost, QuadraticCost, quadratic_value_form, total_cost
 from prhc.linsys import DisturbanceSequence, LinearSystem, rollout
 from prhc.policy import build_schedule, run_policy
 from prhc.solver import HorizonProblem, solve_quadratic
@@ -115,12 +116,19 @@ class TestRunPolicy:
             return original(p, cfg, u0=u0)
 
         monkeypatch.setattr(prhc.solver, "solve", counting)
-        sys = LinearSystem(A=[[0.9]], B=[[1.0]])
-        costs = scalar_quad(9)
-        w = DisturbanceSequence.from_array(np.full((9, 1), 0.3))
+        # per-window solves are the path of non-quadratic models; a quadratic
+        # run solves its windows in one sweep and still returns one solution
+        # per interval
+        sys = LinearSystem(A=[[0.9, 0.0], [0.1, 0.8]], B=[[1.0], [0.5]])
+        w = DisturbanceSequence.from_array(np.full((9, 2), 0.3))
         sched = build_schedule(4, 2, 9)
-        run_policy(sys, costs, w, [0.0], sched)
+        run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2), sched)
         assert calls == [t - 1 for t in sched.t_list]
+        calls.clear()
+        res = run_policy(sys, random_quad(np.random.default_rng(3), 2, 1, 9), w,
+                         np.zeros(2), sched)
+        assert calls == []
+        assert len(res.interval_solutions) == len(sched.t_list)
 
     def test_quadratic_run_makes_no_gradient_calls(self, monkeypatch):
         calls = []
@@ -163,7 +171,7 @@ class TestRunPolicy:
         monkeypatch.setattr(prhc.solver, "solve", capturing)
         rng = np.random.default_rng(5)
         sys = LinearSystem(A=[[0.6, 0.0], [0.2, 0.5]], B=[[1.0], [0.4]])
-        costs = random_quad(rng, 2, 1, 10)
+        costs = NonConvexCost(b=0.2)  # warm starts are the per-window path
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (10, 2)))
         sched = build_schedule(6, 3, 10)
         res = run_policy(sys, costs, w, np.zeros(2), sched)
@@ -203,14 +211,38 @@ class TestRunPolicy:
         def failing(p, cfg=None, u0=None):
             if p.t0 >= 2:
                 raise RuntimeError("iteration 1: non-finite cost")
-            return prhc.solver.solve_quadratic(p)
+            return prhc.solver.solve_general(p, cfg, u0=u0)
 
         monkeypatch.setattr(prhc.solver, "solve", failing)
+        sys = LinearSystem(A=[[0.5, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]])
+        w = DisturbanceSequence.from_array(np.full((6, 2), 0.1))
+        with pytest.raises(RuntimeError, match="interval 2"):
+            run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2),
+                       build_schedule(3, 1, 6))
+
+    def test_non_finite_window_law_reports_interval(self, monkeypatch):
+        # a NaN stage weight reaches the laws of the windows that cover it
+        # and no earlier ones, so the first such window is interval 2
         sys = LinearSystem(A=[[0.5]], B=[[1.0]])
         costs = scalar_quad(6)
+        Q = costs.Q_seq.copy()
+        Q[3] = np.nan
+        monkeypatch.setattr(costs, "Q_seq", Q)
         w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
-        with pytest.raises(RuntimeError, match="interval 2"):
+        with pytest.raises(RuntimeError, match="interval 2 starting at t=3"):
             run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6))
+
+    def test_normal_matrix_without_cholesky_factor_names_its_window_start(
+            self, monkeypatch):
+        rng = np.random.default_rng(12)
+        sys = LinearSystem(A=[[0.6, 0.1], [0.0, 0.5]], B=[[1.0], [0.4]])
+        costs = random_quad(rng, 2, 1, 10)
+        R = costs.R_seq.copy()
+        R[4] = -1e6 * np.eye(1)
+        monkeypatch.setattr(costs, "R_seq", R)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (10, 2)))
+        with pytest.raises(ValueError, match="window from start 2 is singular"):
+            run_policy(sys, costs, w, np.zeros(2), build_schedule(4, 2, 10))
 
     @pytest.mark.parametrize("kind,m,N,M,T", [
         ("quadratic", 1, 4, 2, 9),    # last window truncated at T
@@ -238,6 +270,64 @@ class TestRunPolicy:
         assert res.traj.stage_costs is not None
         assert res.J == pytest.approx(float(res.traj.stage_costs.sum()), rel=1e-12)
         assert res.J > 0
+
+
+def dense_run_cost(sys, costs, w, x1, sched):
+    """J of a run that solves each window on its own with solve_quadratic,
+    the reference for the batched quadratic path."""
+    x = np.asarray(x1, dtype=float)
+    inputs = []
+    for i, t_i in enumerate(sched.t_list):
+        h = sched.horizon_at(i)
+        sol = solve_quadratic(HorizonProblem(sys=sys, x0=x, costs=costs, t0=t_i - 1,
+                                             w_preview=w.window(t_i - 1, t_i - 1 + h),
+                                             N=h))
+        u = sol.u_opt[:sched.applied_at(i)]
+        x = rollout(sys, x, u, w.w[t_i - 1:t_i - 1 + len(u)]).states[-1]
+        inputs.append(u)
+    traj = rollout(sys, x1, np.concatenate(inputs), w.w[:sched.T])
+    return total_cost(traj, costs)
+
+
+@st.composite
+def quadratic_runs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    N = draw(st.integers(2, 8))
+    M = draw(st.integers(1, N - 1))
+    T = N + draw(st.integers(0, 10))  # N < T truncates the last window
+    rho = draw(st.floats(0.3, 1.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    A = rng.normal(size=(n, n))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    sys = LinearSystem(A=A, B=rng.normal(size=(n, m)))
+    Qf = rng.normal(size=(T, n, n))
+    Rf = rng.normal(size=(T, m, m))
+    costs = QuadraticCost(Qf @ Qf.transpose(0, 2, 1) + 0.1 * np.eye(n),
+                          Rf @ Rf.transpose(0, 2, 1) + 0.1 * np.eye(m))
+    w = DisturbanceSequence.from_array(rng.uniform(0, 1, (T, n)))
+    return sys, costs, w, rng.uniform(-1, 1, n), build_schedule(N, M, T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(quadratic_runs())
+def test_batched_quadratic_run_equals_per_window_solves(case):
+    # every interval solution equals a fresh dense solve from the realized
+    # window start state, and J that of a run of dense window solves
+    sys, costs, w, x1, sched = case
+    res = run_policy(sys, costs, w, x1, sched)
+    assert len(res.interval_solutions) == len(sched.t_list)
+    for i, t_i in enumerate(sched.t_list):
+        h = sched.horizon_at(i)
+        ref = solve_quadratic(HorizonProblem(
+            sys=sys, x0=res.traj.states[t_i - 1], costs=costs, t0=t_i - 1,
+            w_preview=w.window(t_i - 1, t_i - 1 + h), N=h))
+        sol = res.interval_solutions[i]
+        assert sol.u_opt.shape == ref.u_opt.shape
+        assert np.all(np.abs(sol.u_opt - ref.u_opt)
+                      <= 1e-8 * np.maximum(1.0, np.abs(ref.u_opt)))
+        assert sol.value == pytest.approx(ref.value, rel=1e-9)
+    assert res.J == pytest.approx(dense_run_cost(sys, costs, w, x1, sched), rel=1e-9)
 
 
 class TestStandardRhc:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from prhc import costs as costs_mod  # noqa: E402
 from prhc.costs import (  # noqa: E402
@@ -159,12 +159,22 @@ def sweep_cases(draw):
     return sys, QuadraticCost(pd_stack(rng, L, n), pd_stack(rng, L, m)), N
 
 
+def growing_case():
+    """A sweep case whose A has spectral radius 1.15, so the window forms
+    grow along the window."""
+    rng = np.random.default_rng(21)
+    L, N = 14, 9
+    return system(rng, 3, 2, 1.15), QuadraticCost(pd_stack(rng, L, 3), pd_stack(rng, L, 2)), N
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(sweep_cases())
+@example(growing_case())
 def test_sweeps_agree_with_the_value_form(case):
     # the LQR sweep's lambda_max(P_xx) and cross term against the value form,
-    # and the game sweep's screen at levels just below and just above each
-    # window's lambda_max(P_ww): it must never certify a level at or below it
+    # and the game sweep's screen at levels below and above each window's
+    # lambda_max(P_ww), down to 1e-7 relative: it must never certify a level
+    # at or below it
     sys, costs, N = case
     n, L = sys.n, costs.length
     starts = np.arange(L)
@@ -178,7 +188,7 @@ def test_sweeps_agree_with_the_value_form(case):
         assert abs(lam_x[t0] - ref_x) <= 1e-9 * ref_x
         assert abs(cross[t0] - ref_cross) <= 1e-9 * max(ref_cross, ref_x)
         lam_w[t0] = np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)
-    for r in (0.9, 0.999999, 1.000001, 1.1):
+    for r in (0.9, 0.999999, 1 - 1e-7, 1 + 1e-7, 1.000001, 1.1):
         c = r * lam_w
         certified = costs_mod._game_certifies(sys, costs, N, starts, c)
         assert not np.any(certified & (lam_w >= c))
