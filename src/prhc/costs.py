@@ -1,10 +1,14 @@
 """Stage-cost models, the state-weight function sigma, and cost-envelope constants.
 
-Time indices are 0-based positions into a model's cost sequence. All eval/sigma
-implementations broadcast over leading batch dimensions: x has shape (..., n),
-u has shape (..., m), and the result drops the trailing axis. The leading shapes
-of x and u broadcast against each other, so eval(t, x[:, None, :], u[None, :, :])
-costs every (state, input) pair; the brute-force grid oracle relies on this.
+Time indices are 0-based positions into a model's cost sequence; t is an int
+or an integer array. All eval/gradient/sigma implementations broadcast over
+leading batch dimensions: x has shape (..., n), u has shape (..., m), t
+broadcasts against their leading axes, eval and sigma drop the trailing axis,
+and gradient returns (dc/dx, dc/du) shaped like x and u. So
+eval(np.arange(t0, t0 + N), xs, us) costs a window in one call, and
+eval(t, x[:, None, :], u[None, :, :]) costs every (state, input) pair, as the
+brute-force grid oracle does. The shipped models give a stage the same bits
+batched as alone (SetDistanceCost to a few ulps).
 """
 
 from __future__ import annotations
@@ -55,8 +59,10 @@ SCREEN_MARGIN = 1e-6
 class CostModel:
     """Interface for time-varying stage costs c_t(x, u) with a state weight sigma.
 
-    Subclasses set `convex` when every stage cost is convex in (x, u), and
-    `length` to the number of stages the model covers (None = any horizon).
+    gradient is required: the window descent reads it, with no
+    finite-difference fallback. Subclasses set `convex` when every stage
+    cost is convex in (x, u), and `length` to the number of stages the model
+    covers (None = any horizon).
     """
 
     convex = False
@@ -69,12 +75,11 @@ class CostModel:
         raise NotImplementedError
 
     def gradient(self, t, x, u):
-        """(dc/dx, dc/du) at a single point; optional for custom models."""
-        raise NotImplementedError
-
-    @property
-    def has_gradient(self) -> bool:
-        return type(self).gradient is not CostModel.gradient
+        """(dc/dx, dc/du), shaped like x and u."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no gradient(t, x, u); "
+            f"the window descent needs one"
+        )
 
     def check_horizon(self, t0: int, N: int) -> None:
         if t0 < 0:
@@ -132,9 +137,7 @@ class QuadraticCost(CostModel):
     def eval(self, t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        qx = np.einsum("...i,ij,...j->...", x, self.Q_seq[t], x)
-        ru = np.einsum("...i,ij,...j->...", u, self.R_seq[t], u)
-        return qx + ru
+        return _form(x, self.Q_seq[t]) + _form(u, self.R_seq[t])
 
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
@@ -143,7 +146,24 @@ class QuadraticCost(CostModel):
     def gradient(self, t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return 2.0 * (self.Q_seq[t] @ x), 2.0 * (self.R_seq[t] @ u)
+        # row sums of a contiguous product: the same bits batched as alone
+        gx = np.sum(self.Q_seq[t] * x[..., None, :], axis=-1)
+        gu = np.sum(self.R_seq[t] * u[..., None, :], axis=-1)
+        return 2.0 * gx, 2.0 * gu
+
+
+def _form(v, M):
+    """v'M v over the trailing axes, broadcast over the leading ones.
+
+    numpy's einsum sums such a form in one running sum over (i, j), alone as
+    in a batch, except that a lone 2-vector's form is summed as its two row
+    sums; a 2-vector's form is summed as its row sums in every shape, so a
+    stage costs the same bits batched as alone.
+    """
+    if v.shape[-1] == 2:
+        rows = np.einsum("...i,...ij,...j->...i", v, M, v)
+        return rows[..., 0] + rows[..., 1]
+    return np.einsum("...i,...ij,...j->...", v, M, v)
 
 
 class NonConvexCost(CostModel):
@@ -161,13 +181,8 @@ class NonConvexCost(CostModel):
         self.b = float(b)
 
     def eval(self, t, x, u):
-        x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.shape[-1] < 2:
-            raise ValueError("state dimension must be at least 2 for this cost")
-        d0 = x[..., 0] - self.b
-        d1 = x[..., 1] - self.b
-        return np.abs(d0) ** 3 + d1 * d1 + np.sum(u * u, axis=-1)
+        return self.sigma(x) + np.sum(u * u, axis=-1)
 
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,15 +190,17 @@ class NonConvexCost(CostModel):
             raise ValueError("state dimension must be at least 2 for this cost")
         d0 = x[..., 0] - self.b
         d1 = x[..., 1] - self.b
-        return np.abs(d0) ** 3 + d1 * d1
+        # float_power is libm's pow on arrays as on scalars; `** 3` on an
+        # array may take a SIMD pow whose last bit differs from a scalar's
+        return np.float_power(np.abs(d0), 3) + d1 * d1
 
     def gradient(self, t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         gx = np.zeros_like(x)
-        d0 = x[0] - self.b
-        gx[0] = 3.0 * d0 * abs(d0)
-        gx[1] = 2.0 * (x[1] - self.b)
+        d0 = x[..., 0] - self.b
+        gx[..., 0] = 3.0 * d0 * np.abs(d0)
+        gx[..., 1] = 2.0 * (x[..., 1] - self.b)
         return gx, 2.0 * u
 
 
@@ -223,11 +240,10 @@ class SetDistanceCost(CostModel):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         diff = x - self.center
-        d = float(np.linalg.norm(diff))
-        gx = np.zeros_like(x)
-        if d > self.radius:
-            gx = self.a_seq[t] * 2.0 * (d - self.radius) * diff / d
-        return gx, 2.0 * u
+        d = np.linalg.norm(diff, axis=-1, keepdims=True)
+        # zero inside the ball; outside, a_t * 2 (d - r) diff / d
+        scale = self.a_seq[t][..., None] * 2.0 * np.maximum(d - self.radius, 0.0)
+        return scale * diff / np.maximum(d, self.radius), 2.0 * u
 
 
 @dataclass(frozen=True)
@@ -306,16 +322,21 @@ def total_cost(traj: Trajectory, costs: CostModel) -> float:
         raise ValueError(
             f"trajectory has {T} steps but the cost sequence covers {costs.length}"
         )
-    stage = np.empty(T)
-    for t in range(T):
-        c = float(costs.eval(t, traj.states[t], traj.inputs[t]))
-        if c < 0:
-            raise ValueError(
-                f"stage cost at step {t} is negative ({c:.3e}); cost model is broken"
-            )
-        stage[t] = c
+    stage = _stage_costs(costs, np.arange(T), traj.states[:T], traj.inputs)
+    neg = np.flatnonzero(stage < 0)
+    if neg.size:
+        t = int(neg[0])
+        raise ValueError(
+            f"stage cost at step {t} is negative ({stage[t]:.3e}); cost model is broken"
+        )
     traj.stage_costs = stage
     return float(stage.sum())
+
+
+def _stage_costs(costs: CostModel, t, x, u) -> np.ndarray:
+    """The stages' costs in one eval call, as a fresh float array shaped
+    like t; a model may return one scalar for every stage."""
+    return np.broadcast_to(np.asarray(costs.eval(t, x, u), dtype=float), t.shape).copy()
 
 
 def sigma_eval(costs: CostModel, x) -> float:
@@ -345,17 +366,13 @@ def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
         return AlphaEstimate(value=float(costs.a_seq.min()), certified=True)
 
     x_samples = _default_alpha_grid()
-    t_samples = range(costs.length) if costs.length else [0]
+    t_samples = np.arange(costs.length or 1)[:, None]
     sig = costs.sigma(x_samples)
     mask = sig > SIGMA_FLOOR
     if not np.any(mask):
         raise ValueError("sigma is zero on all samples; beta undefined")
-    u0 = np.zeros(1)
-    best = np.inf
-    for t in t_samples:
-        ratios = costs.eval(t, x_samples[mask], u0) / sig[mask]
-        best = min(best, float(ratios.min()))
-    return AlphaEstimate(value=best, certified=False)
+    ratios = costs.eval(t_samples, x_samples[mask], np.zeros(1)) / sig[mask]
+    return AlphaEstimate(value=float(ratios.min()), certified=False)
 
 
 def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):

@@ -28,6 +28,7 @@ from .costs import (
     NonConvexCost,
     QuadraticCost,
     SetDistanceCost,
+    _stage_costs,
     estimate_params,
     sigma_eval,
 )
@@ -442,10 +443,9 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
 def _first_nan_stage(sc: Scenario, point: np.ndarray) -> int:
     """First stage whose cost is NaN along the open-loop input table `point`."""
     traj = rollout(sc.sys, sc.x1, point.reshape(sc.T, sc.sys.m), sc.w_full)
-    for t in range(sc.T):
-        if np.isnan(sc.costs.eval(t, traj.states[t], traj.inputs[t])):
-            return t
-    return sc.T - 1
+    stage = _stage_costs(sc.costs, np.arange(sc.T), traj.states[:sc.T], traj.inputs)
+    nan = np.flatnonzero(np.isnan(stage))
+    return int(nan[0]) if nan.size else sc.T - 1
 
 
 def brute_force_oracle(sc: Scenario, grid_res: float, u_box: float) -> tuple:

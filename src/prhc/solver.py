@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost, _condensed_qp, _riccati_step
+from .costs import CostModel, QuadraticCost, _condensed_qp, _riccati_step, _stage_costs
 from .linsys import DisturbanceSequence, LinearSystem, _propagate, stack_dynamics
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "horizon_objective",
 ]
 
-FD_STEP = 1e-6
 STEP_INIT = 1.0        # first trial step of each line search
 STEP_SHRINK = 0.5      # backtracking factor
 ARMIJO_C = 1e-4        # sufficient-decrease constant
@@ -81,49 +80,36 @@ class HorizonSolution:
     iterations: int
 
 
-def _stage_gradient(costs, t, x, u):
-    if costs.has_gradient:
-        return costs.gradient(t, x, u)
-    gx = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = FD_STEP
-        gx[i] = (costs.eval(t, x + e, u) - costs.eval(t, x - e, u)) / (2 * FD_STEP)
-    gu = np.empty_like(u)
-    for i in range(u.size):
-        e = np.zeros_like(u)
-        e[i] = FD_STEP
-        gu[i] = (costs.eval(t, x, u + e) - costs.eval(t, x, u - e)) / (2 * FD_STEP)
-    return gx, gu
+def _in_stage_order(stage) -> float:
+    """Sum of a window's stage costs, added one stage at a time in order."""
+    value = 0.0
+    for c in stage.tolist():
+        value += c
+    return value
 
 
 def horizon_objective(p: HorizonProblem, u) -> float:
     """Window cost of stacked controls u (shape (N, m) or flat)."""
     u = np.asarray(u, dtype=float).reshape(p.N, p.sys.m)
     xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
-    total = 0.0
-    for k in range(p.N):
-        total += float(p.costs.eval(p.t0 + k, xs[k], u[k]))
-    return total
+    return _in_stage_order(_stage_costs(p.costs, np.arange(p.t0, p.t0 + p.N), xs, u))
 
 
 def _objective_gradient(p: HorizonProblem, u_flat: np.ndarray):
     """Value and flat gradient via the backward (adjoint) recursion:
-    lam_N = 0; grad_u[k] = dc_k/du + B' lam_{k+1}; lam_k = dc_k/dx + A' lam_{k+1}."""
+    lam_N = 0; grad_u[k] = dc_k/du + B' lam_{k+1}; lam_k = dc_k/dx + A' lam_{k+1}.
+    The window's stage costs and stage gradients come from one eval and one
+    gradient call."""
     n, m, N = p.sys.n, p.sys.m, p.N
     u = u_flat.reshape(N, m)
     xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
-    value = 0.0
-    gx_all = np.empty((N, n))
-    gu_all = np.empty((N, m))
-    for k in range(N):
-        c = float(p.costs.eval(p.t0 + k, xs[k], u[k]))
-        if not np.isfinite(c):
-            raise RuntimeError(f"non-finite stage cost at window offset {k}")
-        value += c
-        gx, gu = _stage_gradient(p.costs, p.t0 + k, xs[k], u[k])
-        gx_all[k] = gx
-        gu_all[k] = gu
+    t = np.arange(p.t0, p.t0 + N)
+    stage = _stage_costs(p.costs, t, xs, u)
+    bad = np.flatnonzero(~np.isfinite(stage))
+    if bad.size:
+        raise RuntimeError(f"non-finite stage cost at window offset {bad[0]}")
+    value = _in_stage_order(stage)
+    gx_all, gu_all = p.costs.gradient(t, xs, u)
     lam = np.zeros(n)
     grad = np.empty(N * m)
     for k in range(N - 1, -1, -1):
@@ -237,17 +223,6 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
     )
 
 
-def _stage_forms(v, M):
-    """v[k]' M[k] v[k] for every k, with the bits QuadraticCost.eval gives
-    each stage. numpy's einsum sums such a form in one running sum over
-    (i, j), alone as in a batch, except that a lone 2-vector's form is
-    summed as its two row sums."""
-    if v.shape[-1] == 2:
-        rows = np.einsum("...i,...ij,...j->...i", v, M, v)
-        return rows[..., 0] + rows[..., 1]
-    return np.einsum("...i,...ij,...j->...", v, M, v)
-
-
 def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     """Exact window minimizer from the stacked normal equations
     (G'QG + R) u = -G'Q (F x0 + H w)."""
@@ -263,17 +238,9 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
         raise ValueError(
             f"normal matrix of the window from start {p.t0} is singular: {exc}") from exc
     u_opt = u_flat.reshape(N, m)
-    # horizon_objective's stage costs in one batch, summed in its order
-    xs = _propagate(p.sys, p.x0, u_opt[:-1], p.w_preview.w[:-1])
-    stages = slice(p.t0, p.t0 + N)
-    stage = (_stage_forms(xs, p.costs.Q_seq[stages])
-             + _stage_forms(u_opt, p.costs.R_seq[stages]))
-    value = 0.0
-    for c in stage.tolist():
-        value += c
     return HorizonSolution(
         u_opt=u_opt,
-        value=value,
+        value=horizon_objective(p, u_opt),
         converged=True,
         iterations=0,
     )
@@ -322,13 +289,14 @@ def _window_plans(sys: LinearSystem, costs: QuadraticCost, w, starts, applied,
     Window i's first applied[i] inputs and the states they reach are the
     run's own, so each plan holds the inputs the run applied verbatim; from
     there the window's law carries its plan on to its horizon. The value
-    sums the stage forms x'Q x + u'R u of the plan in stage order.
+    sums the plan's stage costs, from one eval call per window, in stage
+    order.
     """
     A, B = sys.A, sys.B
     N, W = f.shape[:2]
     h = np.minimum(N, costs.length - starts)
     offsets = np.arange(N)
-    t = np.minimum(starts[:, None] + offsets, costs.length - 1)  # (W, N) stage
+    t = starts[:, None] + offsets  # (W, N) stage, read only inside horizons
     inside = offsets < h[:, None]
     xs = np.zeros((W, N, sys.n))
     us = np.zeros((W, N, sys.m))
@@ -336,7 +304,6 @@ def _window_plans(sys: LinearSystem, costs: QuadraticCost, w, starts, applied,
     us[ran] = inputs[t[ran]]
     ran = inside & (offsets <= applied[:, None])
     xs[ran] = states[t[ran]]
-    value = np.zeros(W)
     for k in range(N):
         live = np.flatnonzero(inside[:, k] & (applied <= k))
         if live.size:
@@ -346,11 +313,9 @@ def _window_plans(sys: LinearSystem, costs: QuadraticCost, w, starts, applied,
             on = k + 1 < h[live]
             if on.any():
                 xs[live[on], k + 1] = x[on] @ A.T + u[on] @ B.T + w[starts[live[on]] + k]
-        # stages past a window's horizon hold x = u = 0 and add nothing
-        value += (_stage_forms(xs[:, k], costs.Q_seq[t[:, k]])
-                  + _stage_forms(us[:, k], costs.R_seq[t[:, k]]))
-    return [HorizonSolution(u_opt=us[i, :h[i]], value=float(value[i]),
-                            converged=True, iterations=0) for i in range(W)]
+    return [HorizonSolution(u_opt=us[i, :h[i]], value=_in_stage_order(
+                costs.eval(t[i, :h[i]], xs[i, :h[i]], us[i, :h[i]])),
+            converged=True, iterations=0) for i in range(W)]
 
 
 def solve(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None) -> HorizonSolution:

@@ -44,6 +44,9 @@ class ZeroCost(CostModel):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
+    def gradient(self, t, x, u):
+        return np.zeros(np.shape(x)), np.zeros(np.shape(u))
+
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
         return np.sum(x * x, axis=-1)
@@ -70,6 +73,22 @@ class NegativeCost(CostModel):
 
     def sigma(self, x):
         return 0.0
+
+
+class NegativeFromCost(CostModel):
+    """Unit quadratic stage cost that turns negative from stage `first` on."""
+
+    length = None
+
+    def __init__(self, first):
+        self.first = first
+
+    def eval(self, t, x, u):
+        c = np.sum(np.square(x), axis=-1) + np.sum(np.square(u), axis=-1)
+        return np.where(np.asarray(t) >= self.first, -1.0, c)
+
+    def sigma(self, x):
+        return np.sum(np.square(x), axis=-1)
 
 
 class TestTotalCost:
@@ -114,8 +133,18 @@ class TestTotalCost:
             states=np.zeros((2, 2)), inputs=np.zeros((1, 1)),
             disturbances=np.zeros((1, 2)),
         )
-        with pytest.raises(ValueError, match="broken"):
+        # a model may return one scalar for every stage
+        with pytest.raises(ValueError, match="step 0 is negative .*broken"):
             total_cost(traj, NegativeCost())
+
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_first_negative_stage_named(self, first):
+        traj = Trajectory(
+            states=np.ones((5, 2)), inputs=np.ones((4, 1)),
+            disturbances=np.zeros((4, 2)),
+        )
+        with pytest.raises(ValueError, match=f"step {first} is negative"):
+            total_cost(traj, NegativeFromCost(first))
 
 
 class TestSigmaEval:

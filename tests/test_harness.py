@@ -37,6 +37,9 @@ class ZeroCost(CostModel):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
+    def gradient(self, t, x, u):
+        return np.zeros(np.shape(x)), np.zeros(np.shape(u))
+
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
@@ -76,9 +79,14 @@ class PoisonedCost(CostModel):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         c = np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)
-        if self.stage is None or t == self.stage:
-            c = np.where(u[..., 0] < -1.5, self.value, c)
-        return c
+        hit = u[..., 0] < -1.5
+        if self.stage is not None:
+            hit = hit & (np.asarray(t) == self.stage)
+        return np.where(hit, self.value, c)
+
+    def gradient(self, t, x, u):
+        # of the unit quadratic; the poisoned values are constant
+        return 2.0 * np.asarray(x, dtype=float), 2.0 * np.asarray(u, dtype=float)
 
     def sigma(self, x):
         x = np.asarray(x, dtype=float)

@@ -52,6 +52,9 @@ class ZeroCost(CostModel):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
+    def gradient(self, t, x, u):
+        return np.zeros(np.shape(x)), np.zeros(np.shape(u))
+
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
         return np.sum(x * x, axis=-1)
@@ -68,6 +71,12 @@ class DoubleWellCost(CostModel):
         g = (u[..., 0] - 1.0) * (u[..., 0] + 2.0)
         return g * g
 
+    def gradient(self, t, x, u):
+        u = np.asarray(u, dtype=float)
+        gu = np.zeros_like(u)
+        gu[..., 0] = 2.0 * (u[..., 0] - 1.0) * (u[..., 0] + 2.0) * (2.0 * u[..., 0] + 1.0)
+        return np.zeros(np.shape(x)), gu
+
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
         return np.sum(x * x, axis=-1)
@@ -82,25 +91,28 @@ class OverflowCost(CostModel):
         d = u[..., 0] - 1.0
         return 1e300 * d * d
 
+    def gradient(self, t, x, u):
+        u = np.asarray(u, dtype=float)
+        gu = np.zeros_like(u)
+        gu[..., 0] = 2e300 * (u[..., 0] - 1.0)
+        return np.zeros(np.shape(x)), gu
+
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
         return np.sum(x * x, axis=-1)
 
 
-class GradlessCost(CostModel):
-    """Smooth cost with no analytic gradient; forces the FD fallback."""
+class NoGradientCost(CostModel):
+    """A custom model that leaves out gradient."""
 
     convex = True
     length = None
 
     def eval(self, t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.sum((x - 1.0) ** 2, axis=-1) + np.sum(u * u, axis=-1)
+        return np.sum(np.square(x), axis=-1) + np.sum(np.square(u), axis=-1)
 
     def sigma(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.sum((x - 1.0) ** 2, axis=-1)
+        return np.sum(np.square(x), axis=-1)
 
 
 class TestSolveQuadratic:
@@ -292,15 +304,32 @@ class TestSolveGeneral:
             with pytest.raises(RuntimeError, match="iteration"):
                 solve_general(p, SolverConfig())
 
-    def test_fd_fallback_without_gradient(self):
-        sys = LinearSystem(A=[[0.0]], B=[[1.0]])
-        costs = GradlessCost()
-        assert not costs.has_gradient
-        p = make_problem(sys, costs, [0.0], [[0.0], [0.0]])
-        sol = solve_general(p, SolverConfig())
-        # J = (x0-1)^2 + u0^2 + (u0-1)^2 + u1^2, minimized at u0=0.5, u1=0
-        assert sol.u_opt[0, 0] == pytest.approx(0.5, abs=1e-5)
-        assert sol.value == pytest.approx(1.5, rel=1e-8)
+    def test_model_without_gradient_is_named(self):
+        p = make_problem(LinearSystem(A=[[0.0]], B=[[1.0]]), NoGradientCost(),
+                         [1.0], [[0.0], [0.0]])
+        with pytest.raises(NotImplementedError, match="NoGradientCost defines no gradient"):
+            p.costs.gradient(0, p.x0, np.zeros(1))
+        with pytest.raises(RuntimeError, match=r"iteration 0: NoGradientCost defines no "
+                                               r"gradient\(t, x, u\); the window descent "
+                                               r"needs one"):
+            solve_general(p)
+
+    def test_one_eval_and_one_gradient_call_per_objective(self, monkeypatch):
+        # each objective evaluation costs the window's stages in one eval
+        # call and one gradient call, on the stage array t0..t0+N-1
+        calls = []
+        for name in ("eval", "gradient"):
+            def counting(self, t, x, u, name=name, original=getattr(NonConvexCost, name)):
+                calls.append((name, np.asarray(t).tolist()))
+                return original(self, t, x, u)
+
+            monkeypatch.setattr(NonConvexCost, name, counting)
+        sys = LinearSystem(A=[[0.5, 0.2], [0.1, 0.3]], B=[[1.0], [1.0]])
+        p = make_problem(sys, NonConvexCost(), [1.5, -1.0],
+                         [[0.1, 0.1], [0.0, -0.1], [0.05, 0.0], [0.0, 0.0]], t0=3)
+        solve_general(p, SolverConfig())
+        assert len(calls) >= 4
+        assert calls == [("eval", [3, 4, 5, 6]), ("gradient", [3, 4, 5, 6])] * (len(calls) // 2)
 
     def test_value_dominates_alpha_sigma_sum(self):
         rng = np.random.default_rng(30)
