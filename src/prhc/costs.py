@@ -564,43 +564,44 @@ def _exact_quadratic_upper(sys, costs, N):
     """(alpha_hi, gamma_bar_sq) of the quadratic model, bit for bit the maxima
     over every window start of eigvalsh on its dense value form.
 
-    The LQR sweep gives every window's lambda_max(P_xx) plus cross term;
-    alpha_hi takes the dense form of the windows within SCREEN_MARGIN of the
-    largest. For gamma_bar_sq, the window with the largest cross term among
-    those left gets the dense form, and a game sweep at each window's level
-    (running maximum less its cross term) drops the windows it certifies;
-    this repeats until no window is left. Windows that tie the maximum, as
-    under time-invariant weights, are never certified and all get the
-    dense form.
+    The LQR sweep gives every window's lambda_max(P_xx) plus cross term.
+    For gamma_bar_sq, the window with the largest cross term among those
+    left gets the dense form and its w-block eigenvalues, and a game sweep
+    at each window's level (running maximum less its cross term) drops the
+    windows it certifies; this repeats until no window is left. Windows that
+    tie the maximum, as under time-invariant weights, are never certified
+    and all get the dense form. alpha_hi takes the dense form of the windows
+    within SCREEN_MARGIN of the largest sweep value; a window the gamma loop
+    did not reach needs no w-block eigenvalues.
     """
     L, n = costs.length, sys.n
     lam_x, cross = _lqr_sweep(sys, costs, N)
-    dense = {}
 
-    def candidates(t0):
-        # (alpha, gamma) candidates of eigvalsh on the window's value form
-        if t0 not in dense:
-            h = min(N, L - t0)
-            P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
-            if not np.isfinite(P).all():
-                raise ValueError(f"value form of the window from start {t0} is not finite")
-            cr = float(np.linalg.norm(P[:n, n:], 2))
-            # H's last block column is zero, and so are the last block row and
-            # column of the w-block; they add only a zero eigenvalue
-            top_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
-            top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
-            dense[t0] = (top_x + cr, top_w + cr)
-        return dense[t0]
+    def candidates(t0, with_gamma):
+        # (alpha, gamma) candidates of eigvalsh on the window's value form;
+        # gamma is None unless asked for, and costs no w-block eigenvalues then
+        h = min(N, L - t0)
+        P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
+        if not np.isfinite(P).all():
+            raise ValueError(f"value form of the window from start {t0} is not finite")
+        cr = float(np.linalg.norm(P[:n, n:], 2))
+        top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
+        if not with_gamma:
+            return top_x + cr, None
+        # H's last block column is zero, and so are the last block row and
+        # column of the w-block; they add only a zero eigenvalue
+        top_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
+        return top_x + cr, top_w + cr
 
-    swept = lam_x + cross
-    near = np.flatnonzero(swept >= swept.max() * (1.0 - SCREEN_MARGIN))
-    alpha_hi = max(candidates(int(t0))[0] for t0 in near)
+    alpha_at = {}  # alpha candidate of every window the gamma loop made dense
     gamma_sq = 0.0
     live = np.arange(L)
     swept_at = None
     while live.size:
         i = int(np.argmax(cross[live]))
-        gamma_sq = max(gamma_sq, candidates(int(live[i]))[1])
+        t0 = int(live[i])
+        alpha_at[t0], gamma = candidates(t0, True)
+        gamma_sq = max(gamma_sq, gamma)
         live = np.delete(live, i)
         # certification depends on gamma_sq alone, so a window the last
         # sweep kept stays kept until gamma_sq moves
@@ -608,6 +609,10 @@ def _exact_quadratic_upper(sys, costs, N):
             c = (gamma_sq - cross[live]) * (1.0 - SCREEN_MARGIN)
             live = live[~_game_certifies(sys, costs, N, live, c)]
             swept_at = gamma_sq
+    swept = lam_x + cross
+    near = np.flatnonzero(swept >= swept.max() * (1.0 - SCREEN_MARGIN))
+    alpha_hi = max(alpha_at[t0] if t0 in alpha_at else candidates(t0, False)[0]
+                   for t0 in near.tolist())
     return alpha_hi, gamma_sq
 
 

@@ -65,7 +65,7 @@ CSV_HEADER = (
 GRID_BUDGET = 10**8          # max points an exhaustive grid sweep may enumerate
 REFINE_POINTS = 33           # grid points per axis on each refinement level
 REFINE_SAFETY = 8            # kept box half-width, in units of current spacing
-EVAL_CHUNK = 1 << 18         # (prefix, input) pairs costed per vectorized block
+EVAL_CHUNK = 1 << 16         # (prefix, input) pairs per scan block; sized to stay in L2
 
 # the fixed experiment family (see ScenarioConfig)
 A_LOW = 0.0
@@ -382,6 +382,9 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     stage's own axes, so a prefix is costed once however many completions it
     has. Blocks hold at most EVAL_CHUNK (prefix, input) pairs and are visited
     in the grid's lexicographic order, so ties keep the first grid point.
+    Each stage writes its blocks' summed costs and next states into one pair
+    of buffers, allocated per call and reused block after block, which hold
+    at most (1 + n) * EVAL_CHUNK doubles.
     Returns (J, u) with u the flat point of length T*m.
     """
     T, m, n = sc.T, sc.sys.m, sc.sys.n
@@ -391,30 +394,40 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     inputs = [np.stack(np.meshgrid(*axes[t * m:(t + 1) * m], indexing="ij"),
                        axis=-1).reshape(-1, m) for t in range(T)]
     lifts = [u @ sc.sys.B.T for u in inputs[:-1]]
+    # per stage: (prefix rows, inputs) of a block, and buffers for its largest
+    # block; a stage's prefixes are at most one block of the stage before
+    blocks = [(max(1, EVAL_CHUNK // len(u)), min(len(u), EVAL_CHUNK)) for u in inputs]
+    vals_buf = []
+    size = 1
+    for rows, cols in blocks:
+        size = min(rows, size) * cols
+        vals_buf.append(np.empty(size))
+    x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
 
     def scan(t, x, c):
         # (value, prefix row, input index per stage from t on); NaN ends the scan
         u = inputs[t]
-        K = len(u)
         last = t == T - 1
-        rows = max(1, EVAL_CHUNK // K)
-        cols = min(K, EVAL_CHUNK)
+        rows, cols = blocks[t]
         best = (math.inf, -1, None)
         for r0 in range(0, len(c), rows):
             xb = x[r0:r0 + rows]
             cb = c[r0:r0 + rows]
             if not last:
                 xA = (xb @ A_T)[:, None, :]
-            for k0 in range(0, K, cols):
+            for k0 in range(0, len(u), cols):
                 ub = u[k0:k0 + cols]
-                vals = np.broadcast_to(
-                    cb[:, None] + costs.eval(t, xb[:, None, :], ub[None, :, :]),
-                    (len(cb), len(ub)))
+                pairs = len(cb) * len(ub)
+                vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
+                np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
+                       out=vals)
                 if last:
                     flat = int(np.argmin(vals))
                     val, path = float(vals.flat[flat]), []
                 else:
-                    x_next = xA + lifts[t][None, k0:k0 + cols, :] + w[t]
+                    x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
+                    np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)
+                    x_next += w[t]
                     val, flat, path = scan(t + 1, x_next.reshape(-1, n),
                                            vals.reshape(-1))
                 if not val >= best[0]:  # strictly smaller, or NaN
@@ -424,8 +437,11 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
                         return best
         return best
 
-    val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
-                           np.zeros(1))
+    try:
+        val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
+                               np.zeros(1))
+    finally:
+        scan = None  # scan refers to itself; free its buffers without the cyclic GC
     if path is None:
         raise ValueError(
             f"no finite cost on the grid of {math.prod(len(a) for a in axes)} "

@@ -74,6 +74,17 @@ class SolverConfig:
 
 @dataclass
 class HorizonSolution:
+    """A window solve: its inputs, their window cost and how the solve ended.
+
+    converged means only that the final gradient has max|g| <= grad_tol (the
+    exact quadratic paths always set it). It does not tell a minimizer from
+    another stationary point: on a custom non-convex model such as the
+    double well (u - 1)^2 (u + 2)^2, the descent from u0 = -3 stops at the
+    local maximum u = -1/2 with value 5.0625, against a window minimum of
+    0, and reports converged. value is the cost of u_opt all the same, so
+    it stays an upper bound on the window minimum.
+    """
+
     u_opt: np.ndarray  # (N, m)
     value: float
     converged: bool

@@ -1,6 +1,7 @@
 """Scenario generation, comparison experiments, grid oracle, and reports."""
 
 import dataclasses
+import gc
 import json
 import math
 
@@ -365,15 +366,38 @@ class TestBruteForceOracle:
         (QuadraticCost(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2)),
          2, 2, 2, 0.5),
         (NonConvexCost(), 2, 1, 3, 0.25),
+        # 401^2 points: the last stage spans three default blocks of 2^16
+        # pairs, each written into the same reused buffers
+        (QuadraticCost(np.ones((2, 1, 1)), np.ones((2, 1, 1))), 1, 1, 2, 0.01),
+        # over budget: one scan per refinement level at the default block size
+        (QuadraticCost(np.ones((3, 1, 1)), np.ones((3, 1, 1))), 1, 1, 3, 1e-3),
     ])
     def test_block_size_invariance(self, monkeypatch, costs, n, m, T, grid_res):
         sc = vector_scenario(costs, n, m, T)
+        default = harness.EVAL_CHUNK
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 1 << 20)  # one block per stage
         J_ref, u_ref = brute_force_oracle(sc, grid_res, 2.0)
-        for chunk in (1, 7, 64):
+        # tiny blocks only on the coarse grids, where they stay quick
+        for chunk in (default, 1, 7, 64) if grid_res > 0.1 else (default,):
             monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
             J, u = brute_force_oracle(sc, grid_res, 2.0)
             assert J == J_ref
             assert u.tobytes() == u_ref.tobytes()
+
+    def test_scan_leaves_no_garbage(self):
+        # the scan is a closure that refers to itself; a cycle would keep its
+        # buffers alive until the cyclic GC, which numpy allocations rarely run
+        sc = vector_scenario(QuadraticCost(np.ones((2, 1, 1)), np.ones((2, 1, 1))),
+                             1, 1, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            harness._grid_scan(sc, [np.linspace(-2.0, 2.0, 41)] * 2)
+            assert gc.collect() == 0
+            brute_force_oracle(sc, 0.05, 2.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("chunk", [None, 1, 7])
     @pytest.mark.parametrize("m", [1, 2])

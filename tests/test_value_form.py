@@ -275,3 +275,37 @@ def test_normal_matrix_without_cholesky_factor_names_its_window_start(sweep_only
     monkeypatch.setattr(sweep_only.costs, "R_seq", R)
     with pytest.raises(ValueError, match="window from start 0 is singular"):
         estimate_gamma_alpha_upper(sweep_only.sys, sweep_only.costs, sweep_only.N)
+
+
+def test_alpha_only_window_gets_no_w_block_eigvalsh(monkeypatch):
+    # in this instance window 7 enters the alpha_hi set, but the game sweep
+    # certifies its w-block before the gamma loop reaches it
+    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
+                                        N=6, a_high=0.5))
+    n = sc.sys.n
+    reference = unscreened_upper(sc.sys, sc.costs, sc.N)
+    lam_x, cross = costs_mod._lqr_sweep(sc.sys, sc.costs, sc.N)
+    swept = lam_x + cross
+    near = set(np.flatnonzero(swept >= swept.max() * (1.0 - costs_mod.SCREEN_MARGIN)))
+    dense, w_solved = [], []
+    real_form, real_eigvalsh = costs_mod._value_form, np.linalg.eigvalsh
+
+    def form(sys, sd, costs, t0):
+        dense.append(t0)
+        return real_form(sys, sd, costs, t0)
+
+    def eigvalsh(a, *args, **kwargs):
+        if a.shape[-1] > n:  # x-blocks and the sweeps' stacks are n x n
+            w_solved.append(dense[-1])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(costs_mod, "_value_form", form)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    upper = costs_mod._exact_quadratic_upper(sc.sys, sc.costs, sc.N)
+    monkeypatch.undo()
+    assert upper == reference
+    assert len(dense) == len(set(dense))  # one value form per window
+    assert len(w_solved) == len(set(w_solved))
+    alpha_only = set(dense) - set(w_solved)
+    assert alpha_only == {7}
+    assert alpha_only <= near
