@@ -53,11 +53,11 @@ from .linsys import (
     Trajectory,
     rollout,
     stack_dynamics,
-    step,
 )
 from .policy import (
     RhcSchedule,
     RunResult,
+    WindowStop,
     build_schedule,
     run_policy,
 )

@@ -51,6 +51,19 @@ def _parse_n_list(text) -> tuple:
     return values
 
 
+def _parse_sample_budget(text) -> int:
+    """The sample budget of every command, from a flag or a config file: an
+    integer >= 1, the same rule a stored JSON report's config obeys."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"sample_budget must be an integer >= 1, got {text!r}")
+    return value
+
+
 # option name -> (coercion from config-file string, built-in default)
 _OPTION_SPEC = {
     "seed": (int, 0),
@@ -63,7 +76,7 @@ _OPTION_SPEC = {
     "m_rule": (str, "half"),
     "out": (str, None),
     "format": (str, "csv"),
-    "sample_budget": (int, SAMPLE_BUDGET),
+    "sample_budget": (_parse_sample_budget, SAMPLE_BUDGET),
     "iters": (int, 10),
     "N_list": (_parse_n_list, (6, 9)),
     "grid_res": (float, 1e-3),
@@ -294,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output path (default stdout)")
     run_p.add_argument("--format", choices=("csv", "json"),
                        help="output format (default csv)")
-    run_p.add_argument("--sample-budget", dest="sample_budget", type=int,
+    run_p.add_argument("--sample-budget", dest="sample_budget",
+                       type=_parse_sample_budget,
                        help="solve budget for sampled envelope constants")
     run_p.set_defaults(func=_cmd_run)
 
@@ -308,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     t1_p.add_argument("--out", help="output path (default stdout)")
     t1_p.add_argument("--format", choices=("csv", "json"),
                       help="output format (default csv)")
-    t1_p.add_argument("--sample-budget", dest="sample_budget", type=int,
+    t1_p.add_argument("--sample-budget", dest="sample_budget",
+                      type=_parse_sample_budget,
                       help="solve budget for sampled envelope constants")
     t1_p.add_argument("--config", help="key=value option file; flags win")
     t1_p.set_defaults(func=_cmd_table1)
@@ -317,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="replay a stored report and re-check bounds")
     cert_p.add_argument("--in", dest="infile", required=True,
                         help="stored report (csv or json)")
-    cert_p.add_argument("--sample-budget", dest="sample_budget", type=int,
+    cert_p.add_argument("--sample-budget", dest="sample_budget",
+                        type=_parse_sample_budget,
                         help="override the stored sampling budget")
     cert_p.set_defaults(func=_cmd_certify)
 
@@ -334,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="recursion audit of a stored report")
     audit_p.add_argument("--in", dest="infile", required=True,
                          help="stored report (csv or json)")
-    audit_p.add_argument("--sample-budget", dest="sample_budget", type=int,
+    audit_p.add_argument("--sample-budget", dest="sample_budget",
+                         type=_parse_sample_budget,
                          help="override the stored sampling budget")
     audit_p.set_defaults(func=_cmd_audit)
     return parser
@@ -345,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

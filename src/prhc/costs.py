@@ -316,7 +316,7 @@ class UpperEstimate:
 
 
 def total_cost(traj: Trajectory, costs: CostModel) -> float:
-    """Sum of stage costs along a trajectory; fills traj.stage_costs."""
+    """Sum of stage costs along a trajectory."""
     T = traj.T
     if costs.length is not None and costs.length != T:
         raise ValueError(
@@ -329,7 +329,6 @@ def total_cost(traj: Trajectory, costs: CostModel) -> float:
         raise ValueError(
             f"stage cost at step {t} is negative ({stage[t]:.3e}); cost model is broken"
         )
-    traj.stage_costs = stage
     return float(stage.sum())
 
 

@@ -11,7 +11,6 @@ __all__ = [
     "DisturbanceSequence",
     "Trajectory",
     "StackedDynamics",
-    "step",
     "rollout",
     "stack_dynamics",
 ]
@@ -122,15 +121,11 @@ class DisturbanceSequence:
 
 @dataclass
 class Trajectory:
-    """Closed-loop record: states x_1..x_{T+1}, inputs, disturbances, stage costs.
-
-    stage_costs stays None until a cost model fills it.
-    """
+    """Closed-loop record: states x_1..x_{T+1}, inputs and disturbances."""
 
     states: np.ndarray        # (T+1, n)
     inputs: np.ndarray        # (T, m)
     disturbances: np.ndarray  # (T, n)
-    stage_costs: np.ndarray | None = None
 
     def __post_init__(self):
         self.states = _as_float_array("states", self.states, 2)
@@ -168,20 +163,6 @@ class StackedDynamics:
     N: int
 
 
-def step(sys: LinearSystem, x, u, w) -> np.ndarray:
-    """One dynamics update A x + B u + w."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({sys.n},)")
-    if u.shape != (sys.m,):
-        raise ValueError(f"u has shape {u.shape}, expected ({sys.m},)")
-    if w.shape != (sys.n,):
-        raise ValueError(f"w has shape {w.shape}, expected ({sys.n},)")
-    return sys.A @ x + sys.B @ u + w
-
-
 def _propagate(sys: LinearSystem, x1, u, w, K=None) -> np.ndarray:
     """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); no checks.
 
@@ -199,10 +180,7 @@ def _propagate(sys: LinearSystem, x1, u, w, K=None) -> np.ndarray:
 
 
 def rollout(sys: LinearSystem, x1, u_seq, w_seq) -> Trajectory:
-    """Roll the dynamics forward from x1 under an input and disturbance sequence.
-
-    Stage costs are left unfilled; a cost model fills them later.
-    """
+    """Roll the dynamics forward from x1 under an input and disturbance sequence."""
     if isinstance(w_seq, DisturbanceSequence):
         w_seq = w_seq.w
     x1 = np.asarray(x1, dtype=float)

@@ -20,6 +20,7 @@ from .solver import HorizonProblem
 __all__ = [
     "RhcSchedule",
     "RunResult",
+    "WindowStop",
     "build_schedule",
     "run_policy",
 ]
@@ -50,9 +51,24 @@ class RhcSchedule:
         return self.T - self.t_list[i] + 1
 
 
+@dataclass(frozen=True)
+class WindowStop:
+    """How one window's solve ended: exact quadratic windows record
+    converged=True and 0 iterations, descents copy their solve's values."""
+
+    converged: bool
+    iterations: int
+
+
 @dataclass
 class RunResult:
-    """Closed-loop record of one policy run."""
+    """Closed-loop record of one policy run.
+
+    interval_solutions holds one WindowStop per window, not the window's
+    plan; the applied inputs are in traj. The field keeps its name because
+    the benchmark's tracer counts it and its contract test pins it, so a
+    rename waits for the next change to the benchmark.
+    """
 
     traj: Trajectory
     J: float
@@ -92,11 +108,11 @@ def run_policy(
     solve the previewed window problem, apply the leading inputs.
 
     A quadratic model's windows are solved together: one backward Riccati
-    sweep over the window starts gives each window's affine law, the run
-    applies each law from the observed state, and one forward pass gives
-    every window's solution. Other models solve each window with the default
-    SolverConfig; each window after the first warm-starts from the unapplied
-    tail of the previous window's solution, zero-padded to its horizon.
+    sweep over the window starts gives each window's affine law, and one
+    forward propagation applies each step's law from its window. Other
+    models solve each window with the default SolverConfig; each window
+    after the first warm-starts from the unapplied tail of the previous
+    window's solution, zero-padded to its horizon.
     """
     T = sched.T
     if len(w_full) < T:
@@ -110,11 +126,8 @@ def run_policy(
             f"but the task horizon is T={T}"
         )
     x = np.asarray(x1, dtype=float).reshape(sys.n)
-    states = np.empty((T + 1, sys.n))
-    inputs = np.empty((T, sys.m))
-    interval_solutions = []
-    quadratic = isinstance(costs, QuadraticCost)
-    if quadratic:
+    if isinstance(costs, QuadraticCost):
+        W = len(sched.t_list)
         starts = np.array(sched.t_list) - 1
         K, f = _solver._window_laws(sys, costs, w_full.w, starts, sched.N)
         finite = np.isfinite(K).all(axis=(0, 2, 3)) & np.isfinite(f).all(axis=(0, 2))
@@ -122,25 +135,26 @@ def run_policy(
             i = int(np.argmin(finite))
             raise RuntimeError(f"solver failed on interval {i + 1} starting at "
                                f"t={sched.t_list[i]}: non-finite window law")
-
-    for i, t_i in enumerate(sched.t_list):
-        applied = sched.applied_at(i)
-        done = t_i - 1 + applied  # steps taken once this interval's inputs are in
-        gains = None
-        if quadratic:
-            u_applied, gains = -f[:applied, i], K[:applied, i]
-        else:
-            sol = _solve_window(sys, costs, w_full, x, sched, i, interval_solutions)
-            interval_solutions.append(sol)
+        # step t applies the law of its window at offset t - start
+        win = np.repeat(np.arange(W), [sched.applied_at(i) for i in range(W)])
+        off = np.arange(T) - starts[win]
+        inputs = -f[off, win]
+        states = _propagate(sys, x, inputs, w_full.w[:T], K[off, win])
+        stops = (WindowStop(converged=True, iterations=0),) * W
+    else:
+        states = np.empty((T + 1, sys.n))
+        inputs = np.empty((T, sys.m))
+        stops = []
+        sol = None
+        for i, t_i in enumerate(sched.t_list):
+            applied = sched.applied_at(i)
+            done = t_i - 1 + applied  # steps taken once this interval's inputs are in
+            sol = _solve_window(sys, costs, w_full, x, sched, i, sol)
+            stops.append(WindowStop(converged=sol.converged, iterations=sol.iterations))
             u_applied = sol.u_opt[:applied]
-        states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done],
-                                              gains)
-        inputs[t_i - 1:done] = u_applied
-        x = states[done]
-    if quadratic:
-        applied = np.array([sched.applied_at(i) for i in range(len(sched.t_list))])
-        interval_solutions = _solver._window_plans(sys, costs, w_full.w, starts,
-                                                   applied, K, f, states, inputs)
+            states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done])
+            inputs[t_i - 1:done] = u_applied
+            x = states[done]
 
     traj = Trajectory(
         states=states, inputs=inputs, disturbances=w_full.w[:T].copy()
@@ -149,7 +163,7 @@ def run_policy(
     return RunResult(
         traj=traj,
         J=J,
-        interval_solutions=tuple(interval_solutions),
+        interval_solutions=tuple(stops),
         schedule=sched,
     )
 
@@ -165,7 +179,7 @@ def _solve_window(sys, costs, w_full, x, sched, i, previous):
     )
     u0 = None
     if i > 0:
-        tail = previous[-1].u_opt[sched.applied_at(i - 1):]
+        tail = previous.u_opt[sched.applied_at(i - 1):]
         u0 = np.zeros((N_i, sys.m))
         keep = min(len(tail), N_i)
         u0[:keep] = tail[:keep]

@@ -159,7 +159,7 @@ def _max_abs(g) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def _descend(p, u0, cfg, callback=None):
+def _descend(p, u0, cfg):
     def evaluate(u_vec, it):
         try:
             f, g = _objective_gradient(p, u_vec)
@@ -203,13 +203,11 @@ def _descend(p, u0, cfg, callback=None):
                 y_list.pop(0)
         u, f, g = u_new, f_new, g_new
         iterations = it
-        if callback is not None:
-            callback(f)
     return u, f, iterations, _max_abs(g) <= cfg.grad_tol
 
 
-def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
-                  callback=None) -> HorizonSolution:
+def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None,
+                  u0=None) -> HorizonSolution:
     """First-order solve of the window problem.
 
     One L-BFGS descent from u0 (zeros by default) over the stacked control
@@ -217,15 +215,12 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None,
     adjoint recursion. Every bundled model is convex, so the descent's
     stationary point is the window minimizer. For a custom non-convex model
     the returned value is an upper bound on the window minimum.
-
-    callback, when given, receives the accepted cost after each iteration;
-    the sequence is non-increasing.
     """
     if cfg is None:
         cfg = SolverConfig()
     dim = p.N * p.sys.m
     u0 = np.zeros(dim) if u0 is None else np.asarray(u0, dtype=float).reshape(dim)
-    u, value, iterations, converged = _descend(p, u0, cfg, callback=callback)
+    u, value, iterations, converged = _descend(p, u0, cfg)
     return HorizonSolution(
         u_opt=u.reshape(p.N, p.sys.m),
         value=value,
@@ -290,43 +285,6 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
         K[k, :a] = K_k
         f[k, :a] = f_k[..., 0]
     return K, f
-
-
-def _window_plans(sys: LinearSystem, costs: QuadraticCost, w, starts, applied,
-                  K, f, states, inputs) -> list:
-    """One HorizonSolution per window of a closed-loop run under the laws of
-    _window_laws, from one forward pass over the N offsets of all windows.
-
-    Window i's first applied[i] inputs and the states they reach are the
-    run's own, so each plan holds the inputs the run applied verbatim; from
-    there the window's law carries its plan on to its horizon. The value
-    sums the plan's stage costs, from one eval call per window, in stage
-    order.
-    """
-    A, B = sys.A, sys.B
-    N, W = f.shape[:2]
-    h = np.minimum(N, costs.length - starts)
-    offsets = np.arange(N)
-    t = starts[:, None] + offsets  # (W, N) stage, read only inside horizons
-    inside = offsets < h[:, None]
-    xs = np.zeros((W, N, sys.n))
-    us = np.zeros((W, N, sys.m))
-    ran = inside & (offsets < applied[:, None])
-    us[ran] = inputs[t[ran]]
-    ran = inside & (offsets <= applied[:, None])
-    xs[ran] = states[t[ran]]
-    for k in range(N):
-        live = np.flatnonzero(inside[:, k] & (applied <= k))
-        if live.size:
-            x = xs[live, k]
-            u = -f[k, live] - (K[k, live] @ x[..., None])[..., 0]
-            us[live, k] = u
-            on = k + 1 < h[live]
-            if on.any():
-                xs[live[on], k + 1] = x[on] @ A.T + u[on] @ B.T + w[starts[live[on]] + k]
-    return [HorizonSolution(u_opt=us[i, :h[i]], value=_in_stage_order(
-                costs.eval(t[i, :h[i]], xs[i, :h[i]], us[i, :h[i]])),
-            converged=True, iterations=0) for i in range(W)]
 
 
 def solve(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None) -> HorizonSolution:

@@ -167,6 +167,37 @@ class TestStoredReports:
         assert "Traceback" not in proc.stderr
 
 
+class TestSampleBudget:
+    """A budget below 1 stops every command that takes one, from a flag or a
+    config file, before it writes a report no replay could load."""
+
+    @pytest.mark.parametrize("command", ["run", "table1", "certify", "audit"])
+    def test_flag_below_one_rejected(self, tmp_path, command):
+        extra = ["--in", tmp_path / "r.json"] if command in ("certify", "audit") else []
+        proc = run_cli(command, "--sample-budget", 0, *extra, expect=2)
+        assert "sample_budget must be an integer >= 1, got '0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "table1"])
+    def test_config_file_below_one_rejected(self, tmp_path, command):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("sample_budget=-3\n")
+        out = tmp_path / "r.json"
+        proc = run_cli(command, "--config", cfg, "--format", "json", "--out", out,
+                       expect=2)
+        assert proc.stderr.startswith(
+            "error: sample_budget must be an integer >= 1, got '-3'")
+        assert not out.exists()
+
+    def test_budget_of_one_round_trips(self, tmp_path):
+        out = tmp_path / "r.json"
+        run_cli("run", "--T", 8, "--N", 4, "--format", "json",
+                "--sample-budget", 1, "--out", out)
+        assert json.loads(out.read_text())["config"]["sample_budget"] == 1
+        proc = run_cli("certify", "--in", out)
+        assert "0 mismatches" in proc.stdout
+
+
 class TestReplay:
     @pytest.mark.parametrize("command,summary", [("certify", "0 mismatches"),
                                                  ("audit", "0 failures")])

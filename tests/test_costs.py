@@ -99,8 +99,6 @@ class TestTotalCost:
             disturbances=np.zeros((2, 2)),
         )
         assert total_cost(traj, costs) == 0.0
-        assert traj.stage_costs is not None
-        np.testing.assert_array_equal(traj.stage_costs, [0.0, 0.0])
 
     def test_scalar_hand_value(self):
         costs = make_quad(n=1, m=1, T=1)

@@ -10,7 +10,6 @@ from prhc.linsys import (
     Trajectory,
     rollout,
     stack_dynamics,
-    step,
 )
 
 
@@ -18,30 +17,25 @@ def random_system(rng, n, m):
     return LinearSystem(A=rng.uniform(-1, 1, (n, n)), B=rng.uniform(-1, 1, (n, m)))
 
 
+def one_step(sys, x, u, w):
+    """The state after one update A x + B u + w, through rollout."""
+    return rollout(sys, x, [u], [w]).states[-1]
+
+
 def test_step_scalar():
     sys = LinearSystem(A=[[0.5]], B=[[1.0]])
-    assert np.allclose(step(sys, [0.0], [1.0], [0.2]), [1.2])
+    assert np.allclose(one_step(sys, [0.0], [1.0], [0.2]), [1.2])
 
 
 def test_step_identity_zero_input_map():
     sys = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)))
-    assert np.allclose(step(sys, [1.0, 2.0], [5.0], [0.0, 0.0]), [1.0, 2.0])
+    assert np.allclose(one_step(sys, [1.0, 2.0], [5.0], [0.0, 0.0]), [1.0, 2.0])
 
 
 def test_step_shift_structure():
     sys = LinearSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]])
-    out = step(sys, [1.0, 0.0], [3.0], [0.1, -0.1])
+    out = one_step(sys, [1.0, 0.0], [3.0], [0.1, -0.1])
     assert np.allclose(out, [0.1, 2.9])
-
-
-def test_step_dimension_errors():
-    sys = LinearSystem(A=np.eye(2), B=np.ones((2, 1)))
-    with pytest.raises(ValueError, match="x has shape"):
-        step(sys, [1.0], [1.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="u has shape"):
-        step(sys, [1.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="w has shape"):
-        step(sys, [1.0, 0.0], [1.0], [0.0])
 
 
 def test_system_validation():
@@ -117,7 +111,7 @@ def test_rollout_equals_chained_steps_bitwise():
         traj = rollout(sys, x, u, w)
         chained = [x]
         for t in range(T):
-            chained.append(step(sys, chained[-1], u[t], w[t]))
+            chained.append(sys.A @ chained[-1] + sys.B @ u[t] + w[t])
         np.testing.assert_array_equal(traj.states, np.array(chained))
 
 

@@ -6,9 +6,10 @@ import pytest
 import prhc.solver
 from hypothesis import given, settings, strategies as st
 from family import compliant_quadratic_scenario
+from prhc.bounds import a_factor, omega_op
 from prhc.costs import NonConvexCost, QuadraticCost, quadratic_value_form, total_cost
-from prhc.linsys import DisturbanceSequence, LinearSystem, rollout
-from prhc.policy import build_schedule, run_policy
+from prhc.linsys import DisturbanceSequence, LinearSystem, _propagate, rollout
+from prhc.policy import WindowStop, build_schedule, run_policy
 from prhc.solver import HorizonProblem, solve_quadratic
 
 
@@ -74,8 +75,6 @@ class TestRunPolicy:
                          np.zeros(2), sched)
         assert res.J == 0.0
         np.testing.assert_array_equal(res.traj.inputs, np.zeros((10, 1)))
-        assert all(s.value == pytest.approx(0.0, abs=1e-15)
-                   for s in res.interval_solutions)
 
     def test_full_preview_equals_batch_optimum(self):
         rng = np.random.default_rng(1)
@@ -146,27 +145,15 @@ class TestRunPolicy:
         run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 3, 12))
         assert calls == []
 
-    def test_inputs_come_verbatim_from_interval_solutions(self):
-        rng = np.random.default_rng(4)
-        sys = LinearSystem(A=rng.uniform(-0.5, 0.5, (2, 2)), B=[[1.0], [0.7]])
-        costs = random_quad(rng, 2, 1, 12)
-        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (12, 2)))
-        sched = build_schedule(6, 3, 12)
-        res = run_policy(sys, costs, w, np.zeros(2), sched)
-        for i, t_i in enumerate(sched.t_list):
-            applied = sched.applied_at(i)
-            np.testing.assert_array_equal(
-                res.traj.inputs[t_i - 1:t_i - 1 + applied],
-                res.interval_solutions[i].u_opt[:applied],
-            )
-
     def test_warm_start_seeds_next_interval_with_shifted_tail(self, monkeypatch):
         received = []
+        returned = []
         original = prhc.solver.solve
 
         def capturing(p, cfg=None, u0=None):
             received.append(None if u0 is None else np.array(u0))
-            return original(p, cfg, u0=u0)
+            returned.append(original(p, cfg, u0=u0))
+            return returned[-1]
 
         monkeypatch.setattr(prhc.solver, "solve", capturing)
         rng = np.random.default_rng(5)
@@ -175,9 +162,11 @@ class TestRunPolicy:
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (10, 2)))
         sched = build_schedule(6, 3, 10)
         res = run_policy(sys, costs, w, np.zeros(2), sched)
+        assert res.interval_solutions == tuple(
+            WindowStop(converged=s.converged, iterations=s.iterations) for s in returned)
         assert received[0] is None
         for i in range(1, len(sched.t_list)):
-            tail = res.interval_solutions[i - 1].u_opt[sched.applied_at(i - 1):]
+            tail = returned[i - 1].u_opt[sched.applied_at(i - 1):]
             expected = np.zeros((sched.horizon_at(i), sys.m))
             keep = min(len(tail), len(expected))
             expected[:keep] = tail[:keep]
@@ -267,8 +256,9 @@ class TestRunPolicy:
         costs = random_quad(rng, 2, 1, 9)
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (9, 2)))
         res = run_policy(sys, costs, w, np.zeros(2), build_schedule(4, 2, 9))
-        assert res.traj.stage_costs is not None
-        assert res.J == pytest.approx(float(res.traj.stage_costs.sum()), rel=1e-12)
+        stage = costs.eval(np.arange(9), res.traj.states[:9], res.traj.inputs)
+        assert stage.shape == (9,)
+        assert res.J == pytest.approx(float(stage.sum()), rel=1e-12)
         assert res.J > 0
 
 
@@ -309,25 +299,46 @@ def quadratic_runs(draw):
     return sys, costs, w, rng.uniform(-1, 1, n), build_schedule(N, M, T)
 
 
+def per_window_propagation(sys, costs, w, x1, sched):
+    """States and inputs of a run that propagates each window's law on its
+    own, window after window: the bitwise reference for the one propagation
+    of a quadratic run."""
+    starts = np.array(sched.t_list) - 1
+    K, f = prhc.solver._window_laws(sys, costs, w.w, starts, sched.N)
+    x = np.asarray(x1, dtype=float)
+    states, inputs = [x[None]], []
+    for i, t_i in enumerate(sched.t_list):
+        applied = sched.applied_at(i)
+        u = -f[:applied, i]
+        xs = _propagate(sys, x, u, w.w[t_i - 1:t_i - 1 + applied], K[:applied, i])
+        states.append(xs[1:])
+        inputs.append(u)
+        x = xs[-1]
+    return np.concatenate(states), np.concatenate(inputs)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(quadratic_runs())
 def test_batched_quadratic_run_equals_per_window_solves(case):
-    # every interval solution equals a fresh dense solve from the realized
-    # window start state, and J that of a run of dense window solves
+    # each window's applied inputs equal those of a fresh dense solve from
+    # the realized window start state, J that of a run of dense window
+    # solves, and the states and inputs those of per-window propagations
     sys, costs, w, x1, sched = case
     res = run_policy(sys, costs, w, x1, sched)
     assert len(res.interval_solutions) == len(sched.t_list)
     for i, t_i in enumerate(sched.t_list):
         h = sched.horizon_at(i)
+        applied = sched.applied_at(i)
         ref = solve_quadratic(HorizonProblem(
             sys=sys, x0=res.traj.states[t_i - 1], costs=costs, t0=t_i - 1,
-            w_preview=w.window(t_i - 1, t_i - 1 + h), N=h))
-        sol = res.interval_solutions[i]
-        assert sol.u_opt.shape == ref.u_opt.shape
-        assert np.all(np.abs(sol.u_opt - ref.u_opt)
-                      <= 1e-8 * np.maximum(1.0, np.abs(ref.u_opt)))
-        assert sol.value == pytest.approx(ref.value, rel=1e-9)
+            w_preview=w.window(t_i - 1, t_i - 1 + h), N=h)).u_opt[:applied]
+        u = res.traj.inputs[t_i - 1:t_i - 1 + applied]
+        assert np.all(np.abs(u - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
+        assert res.interval_solutions[i] == WindowStop(converged=True, iterations=0)
     assert res.J == pytest.approx(dense_run_cost(sys, costs, w, x1, sched), rel=1e-9)
+    states, inputs = per_window_propagation(sys, costs, w, x1, sched)
+    np.testing.assert_array_equal(res.traj.states, states)
+    np.testing.assert_array_equal(res.traj.inputs, inputs)
 
 
 class TestStandardRhc:
@@ -375,7 +386,12 @@ class TestOracleGap:
     """The oracle, the value form of one window over the whole task, never
     costs more than a policy run from the same (x1, w): P_pol - P_oracle is
     positive semidefinite, and zero for a single full-task window. This
-    checks the value form against policy runs, apart from the dense formula."""
+    checks the value form against policy runs, apart from the dense formula.
+
+    The overlap run's form also checks the certificate exactly: J <=
+    c1*sigma(x1) + c2*|w|^2 holds for every (x1, w) exactly when
+    diag(c1*I_n, c2*I_nT) - P is positive semidefinite, with
+    c1 = alpha_hi/(1 - a) and c2 = omega_op*gamma_bar_sq."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_oracle_never_beats_a_policy_by_less_than_zero(self, seed):
@@ -389,5 +405,13 @@ class TestOracleGap:
             assert z @ P @ z == pytest.approx(J, rel=1e-9)
             tol = 1e-9 * np.max(np.abs(P))
             assert np.linalg.eigvalsh(P - P_or)[0] >= -tol
+            if sched is sc.sched:
+                P_overlap, tol_overlap = P, tol
+        beta = sc.params.beta
+        c1 = sc.params.alpha_hi / (1.0 - a_factor(beta, M))
+        c2 = omega_op(beta, M) * sc.params.gamma_bar_sq
+        n = sc.sys.n
+        bound = np.diag(np.concatenate([np.full(n, c1), np.full(n * T, c2)]))
+        assert np.linalg.eigvalsh(bound - P_overlap)[0] >= -tol_overlap
         P = policy_form(sc.sys, sc.costs, build_schedule(T, T - 1, T))
         assert np.max(np.abs(P - P_or)) <= 1e-9 * np.max(np.abs(P_or))

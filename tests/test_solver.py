@@ -250,18 +250,6 @@ class TestSolveGeneral:
         assert sol.value == 0.0
         assert sol.converged
 
-    def test_descent_is_monotone(self):
-        sys = LinearSystem(A=[[0.5, 0.2], [0.1, 0.3]], B=[[1.0], [1.0]])
-        p = make_problem(
-            sys, NonConvexCost(), [1.5, -1.0],
-            [[0.1, 0.1], [0.0, -0.1], [0.05, 0.0]],
-        )
-        values = []
-        solve_general(p, SolverConfig(), callback=values.append)
-        values = np.asarray(values)
-        assert values.size > 0
-        assert np.all(np.diff(values) <= 1e-12)
-
     @pytest.mark.parametrize("kind", ["nonconvex", "set_distance"])
     def test_value_equals_objective_at_returned_inputs(self, kind):
         # the value is the descent's own cost, bit for bit the window
