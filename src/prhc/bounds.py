@@ -146,30 +146,32 @@ class GainCertificate:
 
 def certify(
     result: RunResult,
-    params: EnvelopeParams,
+    params: EnvelopeParams | None,
     sched: RhcSchedule | None = None,
     sigma_x1: float = 0.0,
 ) -> GainCertificate:
     """Check J against alpha_hi/(1-a)*sigma(x_1) + omega*gamma_bar_sq*energy.
 
     Failed preconditions never raise; they yield an infinite bound with
-    satisfied=False so batch reports stay total.
+    satisfied=False so batch reports stay total. params=None means the run's
+    cost has no envelope: the failed condition "envelope exists" takes the
+    place of "M > 1/beta^2".
     """
     if sched is None:
         sched = result.schedule
     N, M = sched.N, sched.M
-    beta = params.beta
-    inv_b2 = 1.0 / (beta * beta)
-    conditions = (
-        ("N >= 2M", N >= 2 * M, float(N - 2 * M)),
-        ("M > 1/beta^2", M > inv_b2, float(M - inv_b2)),
-    )
+    if params is None:
+        envelope = ("envelope exists", False, math.nan)
+    else:
+        inv_b2 = 1.0 / (params.beta * params.beta)
+        envelope = ("M > 1/beta^2", M > inv_b2, float(M - inv_b2))
+    conditions = (("N >= 2M", N >= 2 * M, float(N - 2 * M)), envelope)
     energy = float(np.sum(result.traj.disturbances ** 2))
     gain = result.J / energy if energy > 0 else float("nan")
     ok = all(c[1] for c in conditions)
     if ok:
-        w = omega_op(beta, M)
-        a = a_factor(beta, M)
+        w = omega_op(params.beta, M)
+        a = a_factor(params.beta, M)
         bound = (params.alpha_hi / (1.0 - a)) * float(sigma_x1) \
             + w * params.gamma_bar_sq * energy
         satisfied = result.J <= bound * (1.0 + BOUND_REL_TOL) + 1e-15
@@ -191,7 +193,7 @@ def certify(
 
 def recursion_audit(
     result: RunResult,
-    params: EnvelopeParams,
+    params: EnvelopeParams | None,
     sys: LinearSystem,
     costs: CostModel,
     w_full: DisturbanceSequence,
@@ -207,8 +209,12 @@ def recursion_audit(
     where g2 is gamma_bar_sq and S1/S2/S3 split the disturbance energy over
     the applied segment, the overlap, and the fresh tail of the next window.
     Slacks must be nonnegative (within tolerance) when the envelope constants
-    genuinely dominate the window values.
+    genuinely dominate the window values. params=None (no envelope) raises
+    ValueError, as does a stability threshold the run's M does not pass.
     """
+    if params is None:
+        raise ValueError(f"no envelope for {type(costs).__name__}: the recursion "
+                         f"needs finite alpha_hi and gamma_bar_sq")
     sched = result.schedule
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)

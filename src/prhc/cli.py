@@ -12,11 +12,12 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .bounds import certify, recursion_audit
-from .costs import SAMPLE_BUDGET, sigma_eval
+from .costs import sigma_eval
 from .harness import (
     ExperimentReport,
     ScenarioConfig,
@@ -39,21 +40,26 @@ COST_ALIASES = {"quad": "quadratic", "nonconvex": "nonconvex",
 M_RULES = {"half": "overlap", "standard": "standard"}  # --m-rule -> named policy
 AUDIT_SLACK_FLOOR = -1e-6
 RECHECK_REL_TOL = 1e-9
+# default of --sample-budget: parsed, validated and echoed into reports so
+# stored config files and reports keep loading; no number depends on it
+SAMPLE_BUDGET = 100
 
 
 def _parse_n_list(text) -> tuple:
     try:
         values = tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"N list must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"N list must be comma-separated integers, got {text!r}")
     if not values:
-        raise ValueError(f"N list must not be empty, got {text!r}")
+        raise argparse.ArgumentTypeError(f"N list must not be empty, got {text!r}")
     return values
 
 
 def _parse_sample_budget(text) -> int:
     """The sample budget of every command, from a flag or a config file: an
-    integer >= 1, the same rule a stored JSON report's config obeys."""
+    integer >= 1, the same rule a stored JSON report's config obeys. It
+    affects no number."""
     try:
         value = int(text)
     except ValueError:
@@ -157,7 +163,7 @@ def _cmd_run(args) -> int:
                          T=opts["T"], N=opts["N"])
     sc = gen_scenario(opts["seed"], cfg)
     sc = dataclasses.replace(sc, policies=((policy, M),))
-    rows = run_comparison(sc, sample_budget=opts["sample_budget"])
+    rows = run_comparison(sc)
     report = ExperimentReport(
         config={
             "command": "run", "seed": opts["seed"], "cost": opts["cost"],
@@ -175,14 +181,18 @@ def _cmd_table1(args) -> int:
                            "sample_budget"))
     base = ScenarioConfig(n=opts["n"], m=opts["m"], T=opts["T"],
                           N=min(opts["N_list"]))
-    report = run_table1(iters=opts["iters"], N_list=opts["N_list"],
-                        config=base, sample_budget=opts["sample_budget"])
+    report = run_table1(iters=opts["iters"], N_list=opts["N_list"], config=base)
+    report.config["sample_budget"] = opts["sample_budget"]
     _emit(report, opts["format"], opts["out"])
     print("aggregate disturbance gain (mean cost / mean energy):",
           file=sys.stderr)
+    finite = Counter((r.cost_kind, r.policy, r.N) for r in report.rows
+                     if math.isfinite(r.bound))
     for cell in aggregate_report(report):
+        k = finite[cell.cost_kind, cell.policy, cell.N]
         print(f"  {cell.cost_kind:13s} {cell.policy:8s} N={cell.N:<3d} "
-              f"gain={cell.gain:.6f} over {cell.count} runs", file=sys.stderr)
+              f"gain={cell.gain:.6f} over {cell.count} runs "
+              f"finite_bounds={k}/{cell.count}", file=sys.stderr)
     return 0
 
 
@@ -198,14 +208,11 @@ def _replay(args, command: str, noun: str, check) -> int:
     """Replay every row of a stored report and print one line per row.
 
     Rows sharing a scenario (the overlap and standard rows of one seed)
-    share its envelope constants, which are computed once. `check(row, sc,
-    params, sched, res)` returns the rest of the row's line and whether the
-    row passed.
+    share its envelope constants, which are computed once; a non-quadratic
+    scenario has none (params None). `check(row, sc, params, sched, res)`
+    returns the rest of the row's line and whether the row passed.
     """
     report = load_report(args.infile)
-    budget = args.sample_budget
-    if budget is None:
-        budget = report.config.get("sample_budget", SAMPLE_BUDGET)
     envelopes = {}
     failures = 0
     for i, row in enumerate(report.rows):
@@ -213,7 +220,7 @@ def _replay(args, command: str, noun: str, check) -> int:
         if key not in envelopes:
             sc = gen_scenario(row.seed, ScenarioConfig(
                 cost_kind=row.cost_kind, n=row.n, m=row.m, T=row.T, N=row.N))
-            envelopes[key] = sc, scenario_params(sc, sample_budget=budget)
+            envelopes[key] = sc, scenario_params(sc)
         sc, params = envelopes[key]
         sched = build_schedule(row.N, row.M, row.T)
         res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
@@ -245,8 +252,8 @@ def _audit_row(row, sc, params, sched, res) -> tuple:
     try:
         slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
     except ValueError as exc:
-        # contraction factor undefined below the stability threshold;
-        # nothing to audit for such rows
+        # no envelope, or a contraction factor undefined below the
+        # stability threshold; nothing to audit for such rows
         return f"skipped: {exc}", True
     worst = min(slacks) if slacks else float("nan")
     ok = (not slacks) or worst >= AUDIT_SLACK_FLOOR
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default csv)")
     run_p.add_argument("--sample-budget", dest="sample_budget",
                        type=_parse_sample_budget,
-                       help="solve budget for sampled envelope constants")
+                       help="accepted for compatibility; no effect")
     run_p.set_defaults(func=_cmd_run)
 
     t1_p = sub.add_parser("table1", help="full policy-comparison protocol")
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format (default csv)")
     t1_p.add_argument("--sample-budget", dest="sample_budget",
                       type=_parse_sample_budget,
-                      help="solve budget for sampled envelope constants")
+                      help="accepted for compatibility; no effect")
     t1_p.add_argument("--config", help="key=value option file; flags win")
     t1_p.set_defaults(func=_cmd_table1)
 
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stored report (csv or json)")
     cert_p.add_argument("--sample-budget", dest="sample_budget",
                         type=_parse_sample_budget,
-                        help="override the stored sampling budget")
+                        help="accepted for compatibility; no effect")
     cert_p.set_defaults(func=_cmd_certify)
 
     or_p = sub.add_parser("oracle",
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stored report (csv or json)")
     audit_p.add_argument("--sample-budget", dest="sample_budget",
                          type=_parse_sample_budget,
-                         help="override the stored sampling budget")
+                         help="accepted for compatibility; no effect")
     audit_p.set_defaults(func=_cmd_audit)
     return parser
 

@@ -35,12 +35,7 @@ __all__ = [
     "quadratic_value_form",
 ]
 
-SIGMA_FLOOR = 1e-9          # below this, sigma is treated as zero in sampled ratios
-CERT_GRID_RATIO = 1.05      # spacing of the certificate snapping grid
-SAMPLE_X_BOX = 2.0          # sampled envelope: states uniform on [-2, 2]^n
-SAMPLE_BUDGET = 100         # window solves behind one sampled envelope estimate
-# disturbance components are uniform on [W_LOW, W_HIGH], both in generated
-# scenarios and in the sampled envelope's window draws
+# disturbance components of generated scenarios are uniform on [W_LOW, W_HIGH]
 W_LOW = 0.0
 W_HIGH = 1.0
 # relative slack of the exact envelope's sweep screens. The LQR sweep and the
@@ -252,8 +247,9 @@ class EnvelopeParams:
     (alpha_hi, gamma_bar_sq) pair upper-bounding window values V_t.
 
     beta = alpha_lo / alpha_hi; zeta >= 1/beta enters the preview-length bound.
-    `certified` records whether the constants came from an exact computation
-    or from sampling.
+    Only the quadratic model has such constants, and estimate_params computes
+    them exactly; `certified` is False only on constants a caller made up,
+    such as a deliberately under-reported gamma_bar_sq.
     """
 
     alpha_lo: float
@@ -287,7 +283,7 @@ class EnvelopeParams:
             )
 
     @classmethod
-    def from_alphas(cls, alpha_lo, alpha_hi, gamma_bar_sq, zeta=None, certified=True):
+    def from_alphas(cls, alpha_lo, alpha_hi, gamma_bar_sq, zeta=None):
         alpha_hi = max(float(alpha_hi), float(alpha_lo))
         beta = min(float(alpha_lo) / alpha_hi, 1.0)
         if zeta is None:
@@ -298,21 +294,18 @@ class EnvelopeParams:
             gamma_bar_sq=float(gamma_bar_sq),
             beta=beta,
             zeta=float(zeta),
-            certified=bool(certified),
         )
 
 
 @dataclass(frozen=True)
 class AlphaEstimate:
     value: float
-    certified: bool
 
 
 @dataclass(frozen=True)
 class UpperEstimate:
     alpha_hi: float
     gamma_bar_sq: float
-    certified: bool
 
 
 def total_cost(traj: Trajectory, costs: CostModel) -> float:
@@ -343,35 +336,17 @@ def sigma_eval(costs: CostModel, x) -> float:
     return float(costs.sigma(np.asarray(x, dtype=float)))
 
 
-def _default_alpha_grid():
-    # sampling grid for models without an exact alpha path; the bundled
-    # non-quadratic model touches only the first two coordinates
-    axis = np.linspace(-2.0, 2.0, 41)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1)
-
-
 def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
-    """Largest alpha_lo with eval(t, x, 0) >= alpha_lo * sigma(x).
-
-    Exact for the quadratic model (smallest Q eigenvalue across stages) and the
-    set-distance model (smallest a_t). Other models get an empirical infimum of
-    eval/sigma over a sample grid, flagged as not certified.
+    """Largest alpha_lo with eval(t, x, 0) >= alpha_lo * sigma(x), exact for
+    the quadratic model (smallest Q eigenvalue across stages) and the
+    set-distance model (smallest a_t). Any other model raises ValueError
+    naming its class.
     """
     if isinstance(costs, QuadraticCost):
-        lam = float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min())
-        return AlphaEstimate(value=lam, certified=True)
+        return AlphaEstimate(value=float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min()))
     if isinstance(costs, SetDistanceCost):
-        return AlphaEstimate(value=float(costs.a_seq.min()), certified=True)
-
-    x_samples = _default_alpha_grid()
-    t_samples = np.arange(costs.length or 1)[:, None]
-    sig = costs.sigma(x_samples)
-    mask = sig > SIGMA_FLOOR
-    if not np.any(mask):
-        raise ValueError("sigma is zero on all samples; beta undefined")
-    ratios = costs.eval(t_samples, x_samples[mask], np.zeros(1)) / sig[mask]
-    return AlphaEstimate(value=float(ratios.min()), certified=False)
+        return AlphaEstimate(value=float(costs.a_seq.min()))
+    raise ValueError(f"no exact alpha_lo for {type(costs).__name__}")
 
 
 def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
@@ -615,25 +590,10 @@ def _exact_quadratic_upper(sys, costs, N):
     return alpha_hi, gamma_sq
 
 
-def _snap_up(value, lo=1e-12):
-    """Round up onto a geometric certificate grid."""
-    if value <= lo:
-        return 0.0
-    k = int(np.ceil(np.log(value / lo) / np.log(CERT_GRID_RATIO)))
-    return lo * CERT_GRID_RATIO ** k
-
-
-def estimate_gamma_alpha_upper(
-    sys: LinearSystem,
-    costs: CostModel,
-    N: int,
-    sample_budget: int = SAMPLE_BUDGET,
-    seed: int = 0,
-    solver_cfg=None,
-) -> UpperEstimate:
+def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> UpperEstimate:
     """Constants (alpha_hi, gamma_bar_sq) with V_t(x, w) <= alpha_hi*sigma(x) + gamma_bar_sq*sum||w_k||^2.
 
-    Quadratic costs take an exact path: V_t is a quadratic form in (x, w),
+    Only quadratic costs have them: V_t is a quadratic form in (x, w),
     evaluated over every window start, and the constants come from block
     eigenvalues with the cross term dominated. Two backward Riccati sweeps
     over all window starts at once decide which windows need their dense
@@ -644,85 +604,24 @@ def estimate_gamma_alpha_upper(
     constants equal those of eigenvalues on every window. A non-finite
     sweep or value form, or a normal matrix without a Cholesky factor,
     raises ValueError naming its window start.
-    Other models are sampled: alpha_hi from zero-disturbance samples, then
-    the smallest feasible gamma_bar_sq over mixed samples, both snapped up
-    onto a geometric grid.
+    Any other model raises ValueError naming its class. For the shipped
+    non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
+    x* with sigma(x*) = 0.
     """
+    if not isinstance(costs, QuadraticCost):
+        raise ValueError(f"no exact envelope for {type(costs).__name__}")
     if N < 1:
         raise ValueError(f"horizon must be at least 1, got {N}")
-    if isinstance(costs, QuadraticCost):
-        alpha_hi, gamma_sq = _exact_quadratic_upper(sys, costs, N)
-        if alpha_hi <= 1e-12 and gamma_sq <= 1e-12:
-            raise ValueError("value function is identically zero; beta undefined")
-        return UpperEstimate(alpha_hi=alpha_hi, gamma_bar_sq=gamma_sq, certified=True)
-
-    if sample_budget < 1:
-        raise ValueError(f"sample_budget must be at least 1, got {sample_budget}")
-    from .solver import HorizonProblem, solve_general
-    from .linsys import DisturbanceSequence
-
-    rng = np.random.default_rng(seed)
-    max_t0 = 0 if costs.length is None else max(costs.length - N, 0)
-    w_cap = max(abs(W_LOW), abs(W_HIGH)) * np.sqrt(sys.n) + 1e-9
-
-    def window_value(t0, x, w):
-        p = HorizonProblem(
-            sys=sys, x0=x, costs=costs, t0=t0,
-            w_preview=DisturbanceSequence(w, w_cap), N=N,
-        )
-        # under-converged window solves only overestimate values, which keeps
-        # the sampled envelope on the safe side, so a caller may pass a light
-        # solver_cfg
-        return solve_general(p, solver_cfg).value
-
-    n_zero = max(sample_budget // 2, 1)
-    alpha_emp = 0.0
-    saw_sigma = False
-    zero_w = np.zeros((N, sys.n))
-    for _ in range(n_zero):
-        t0 = int(rng.integers(0, max_t0 + 1))
-        x = rng.uniform(-SAMPLE_X_BOX, SAMPLE_X_BOX, sys.n)
-        sig = float(costs.sigma(x))
-        if sig <= SIGMA_FLOOR:
-            continue
-        saw_sigma = True
-        alpha_emp = max(alpha_emp, window_value(t0, x, zero_w) / sig)
-    if not saw_sigma:
-        raise ValueError("sigma is zero on all samples; beta undefined")
-    alpha_hi = _snap_up(alpha_emp)
-    if alpha_hi <= 1e-12:
-        raise ValueError("value function is identically zero; beta undefined")
-
-    gamma_emp = 0.0
-    for _ in range(sample_budget - n_zero):
-        t0 = int(rng.integers(0, max_t0 + 1))
-        x = rng.uniform(-SAMPLE_X_BOX, SAMPLE_X_BOX, sys.n)
-        w = rng.uniform(W_LOW, W_HIGH, (N, sys.n))
-        energy = float(np.sum(w * w))
-        if energy <= 0:
-            continue
-        v = window_value(t0, x, w)
-        gamma_emp = max(gamma_emp, (v - alpha_hi * float(costs.sigma(x))) / energy)
-    gamma_sq = _snap_up(gamma_emp)
-    return UpperEstimate(alpha_hi=alpha_hi, gamma_bar_sq=gamma_sq, certified=False)
+    alpha_hi, gamma_sq = _exact_quadratic_upper(sys, costs, N)
+    return UpperEstimate(alpha_hi=alpha_hi, gamma_bar_sq=gamma_sq)
 
 
-def estimate_params(
-    sys: LinearSystem,
-    costs: CostModel,
-    N: int,
-    sample_budget: int = SAMPLE_BUDGET,
-    seed: int = 0,
-    solver_cfg=None,
-) -> EnvelopeParams:
-    """Bundle the alpha/gamma estimates into envelope constants."""
-    alpha = estimate_alpha_lower(costs)
-    upper = estimate_gamma_alpha_upper(sys, costs, N, sample_budget=sample_budget,
-                                       seed=seed, solver_cfg=solver_cfg)
-    gamma_sq = max(upper.gamma_bar_sq, 1e-12)
+def estimate_params(sys: LinearSystem, costs: CostModel, N: int) -> EnvelopeParams:
+    """Exact envelope constants of a quadratic model; any other model
+    raises ValueError naming its class."""
+    upper = estimate_gamma_alpha_upper(sys, costs, N)
     return EnvelopeParams.from_alphas(
-        alpha_lo=alpha.value,
+        alpha_lo=estimate_alpha_lower(costs).value,
         alpha_hi=upper.alpha_hi,
-        gamma_bar_sq=gamma_sq,
-        certified=alpha.certified and upper.certified,
+        gamma_bar_sq=max(upper.gamma_bar_sq, 1e-12),
     )

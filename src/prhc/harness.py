@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import a_factor, certify, omega_op
+from .bounds import certify
 from .costs import (
-    SAMPLE_BUDGET,
     W_HIGH,
     W_LOW,
     CostModel,
@@ -34,7 +33,6 @@ from .costs import (
 )
 from .linsys import DisturbanceSequence, LinearSystem, rollout
 from .policy import build_schedule, run_policy
-from .solver import SolverConfig
 
 __all__ = [
     "COST_KINDS",
@@ -186,20 +184,13 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
     )
 
 
-# window solves behind sampled envelope estimates run with a lower iteration
-# cap and loose stationarity: any early stop only inflates the (advisory,
-# uncertified) constants
-SAMPLING_SOLVER = SolverConfig(max_iters=120, grad_tol=1e-6)
-
-
-def scenario_params(sc: Scenario, sample_budget: int = SAMPLE_BUDGET) -> EnvelopeParams:
-    """Envelope constants for a scenario: exact for quadratic costs, sampled
-    otherwise. The sampling seed is tied to the scenario seed."""
-    return estimate_params(
-        sc.sys, sc.costs, sc.N,
-        sample_budget=sample_budget, seed=sc.seed,
-        solver_cfg=SAMPLING_SOLVER,
-    )
+def scenario_params(sc: Scenario) -> EnvelopeParams | None:
+    """Envelope constants of a quadratic scenario, computed exactly; None for
+    any other, whose window values have no finite envelope (V_t(x*, 0) > 0
+    at a state x* with sigma(x*) = 0)."""
+    if not isinstance(sc.costs, QuadraticCost):
+        return None
+    return estimate_params(sc.sys, sc.costs, sc.N)
 
 
 @dataclass(frozen=True)
@@ -262,19 +253,23 @@ class ExperimentReport:
         return sorted(self.rows, key=lambda r: (r.seed, r.cost_kind, r.policy, r.N))
 
 
-def run_comparison(
-    sc: Scenario,
-    params: EnvelopeParams | None = None,
-    sample_budget: int = SAMPLE_BUDGET,
-) -> list:
+def run_comparison(sc: Scenario, params: EnvelopeParams | None = None,
+                   sample_budget=None) -> list:
     """Run every policy of the scenario and certify each realized gain.
 
-    Gains on zero-disturbance runs are reported as nan rather than raising,
-    so batch sweeps stay total. Errors carry the scenario seed.
+    Without params the constants come from scenario_params. A scenario with
+    no envelope reports beta 0 (alpha_hi infinite), gamma_bar_sq inf,
+    certified false and an infinite bound. `sample_budget` is accepted for
+    callers that still pass it and has no effect. Gains on zero-disturbance
+    runs are reported as nan rather than raising, so batch sweeps stay
+    total. Errors carry the scenario seed.
     """
     try:
         if params is None:
-            params = scenario_params(sc, sample_budget=sample_budget)
+            params = scenario_params(sc)
+        beta, gamma_sq, certified = (
+            (0.0, math.inf, False) if params is None
+            else (params.beta, params.gamma_bar_sq, params.certified))
         sigma1 = sigma_eval(sc.costs, sc.x1)
         rows = []
         for name, M in sc.policies:
@@ -285,8 +280,8 @@ def run_comparison(
                 seed=sc.seed, cost_kind=sc.cost_kind, policy=name,
                 n=sc.sys.n, m=sc.sys.m, T=sc.T, N=sc.N, M=M,
                 J=res.J, energy=cert.energy, gain=cert.gain,
-                beta=params.beta, gamma_bar_sq=params.gamma_bar_sq,
-                certified=params.certified, omega_op=cert.omega,
+                beta=beta, gamma_bar_sq=gamma_sq, certified=certified,
+                omega_op=cert.omega,
                 bound=cert.bound, satisfied=cert.satisfied,
                 truncated_tail=sched.truncated_tail,
             ))
@@ -313,7 +308,6 @@ def run_table1(
     iters: int = 10,
     N_list: tuple = (6, 9),
     config: ScenarioConfig | None = None,
-    sample_budget: int = SAMPLE_BUDGET,
     cost_kinds: tuple = COST_KINDS,
 ) -> ExperimentReport:
     """Full comparison protocol: every cost kind x preview length x seed,
@@ -331,7 +325,7 @@ def run_table1(
 
     def job(task):
         seed, cfg = task
-        return run_comparison(gen_scenario(seed, cfg), sample_budget=sample_budget)
+        return run_comparison(gen_scenario(seed, cfg))
 
     workers = min(worker_count(), len(tasks))
     if workers > 1:
@@ -347,7 +341,6 @@ def run_table1(
             "N_list": [int(N) for N in N_list],
             "cost_kinds": list(cost_kinds),
             "scenario": base.as_dict(),
-            "sample_budget": sample_budget,
         },
     )
     for chunk in chunks:
@@ -603,7 +596,7 @@ def _json_config(doc: dict) -> dict:
     config = doc.get("config", {})
     if not isinstance(config, dict):
         raise ValueError(f"JSON config is not an object: {config!r}")
-    budget = config.get("sample_budget", SAMPLE_BUDGET)
+    budget = config.get("sample_budget", 1)  # absent: nothing to check
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"JSON config: sample_budget must be an integer >= 1, got {budget!r}")
     return config

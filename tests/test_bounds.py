@@ -193,6 +193,18 @@ class TestCertify:
         assert table["M > 1/beta^2"][1] == pytest.approx(
             sc.sched.M - 1.0 / sc.params.beta**2)
 
+    def test_no_envelope_fails_its_condition(self):
+        # a run on a bound the conditions would otherwise admit
+        sc = compliant_quadratic_scenario(1, spike=False)
+        res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+        cert = certify(res, None, sc.sched)
+        assert cert.conditions[0] == ("N >= 2M", True, sc.sched.N - 2 * sc.sched.M)
+        name, ok, margin = cert.conditions[-1]
+        assert (name, ok) == ("envelope exists", False) and np.isnan(margin)
+        assert cert.bound == np.inf and np.isnan(cert.omega)
+        assert not cert.satisfied
+        assert cert.J == res.J
+
 
 class TestRecursionAudit:
     def test_zero_run_zero_slacks(self):
@@ -239,3 +251,9 @@ class TestRecursionAudit:
         res = run_policy(sys, costs, w, np.zeros(2), sched)
         params = make_params(0.6, zeta=2.0)
         assert recursion_audit(res, params, sys, costs, w) == []
+
+    def test_no_envelope_rejected(self):
+        sc = compliant_quadratic_scenario(0, spike=False)
+        res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+        with pytest.raises(ValueError, match="no envelope for QuadraticCost"):
+            recursion_audit(res, None, sc.sys, sc.costs, sc.w)

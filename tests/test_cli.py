@@ -143,6 +143,41 @@ class TestStoredReports:
     def test_missing_input_fails(self, tmp_path):
         run_cli("certify", "--in", tmp_path / "absent.json", expect=2)
 
+    @staticmethod
+    def nonconvex_report(tmp_path, **row):
+        """A one-row nonconvex JSON report, with its row's fields replaced."""
+        out = tmp_path / "nc.json"
+        run_cli("run", "--T", 6, "--N", 3, "--cost", "nonconvex",
+                "--format", "json", "--out", out)
+        doc = json.loads(out.read_text())
+        doc["rows"][0].update(row)
+        out.write_text(json.dumps(doc))
+        return out
+
+    def test_audit_skips_rows_without_envelope(self, tmp_path):
+        proc = run_cli("audit", "--in", self.nonconvex_report(tmp_path))
+        assert re.search(r"^row 0: .* skipped: no envelope for NonConvexCost",
+                         proc.stdout, re.M)
+        assert proc.stdout.splitlines()[-1] == "audit: 1 rows, 0 failures"
+
+    def test_certify_rejects_sampled_finite_bound(self, tmp_path):
+        # a report written when the non-quadratic envelope was sampled
+        out = self.nonconvex_report(tmp_path, beta=0.5, gamma_bar_sq=2.0,
+                                    omega_op=8.75, bound=1e3, satisfied=True)
+        proc = run_cli("certify", "--in", out, expect=1)
+        assert "recheck=MISMATCH: bound inf != stored 1000.0" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "certify: 1 rows, 1 mismatches"
+
+    def test_certify_accepts_old_infinite_bound(self, tmp_path):
+        # the same kind of row whose preconditions failed: its bound was
+        # already infinite, and it still replays
+        out = self.nonconvex_report(tmp_path, beta=0.5, gamma_bar_sq=2.0,
+                                    omega_op=math.nan, bound=math.inf,
+                                    satisfied=False)
+        proc = run_cli("certify", "--in", out)
+        assert "recheck=ok" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "certify: 1 rows, 0 mismatches"
+
     def test_certify_malformed_row_is_usage_error(self, tmp_path):
         out = tmp_path / "run.json"
         run_cli("run", "--T", 8, "--N", 4, "--format", "json", "--out", out)
@@ -257,6 +292,33 @@ class TestTable1:
         cell_lines = [ln for ln in proc.stderr.splitlines()
                       if re.match(r"\s+\w+ +\w+ +N=", ln)]
         assert len(cell_lines) == 6
+
+    def test_cell_lines_count_finite_bounds(self, tmp_path, capsys):
+        out = tmp_path / "t1.csv"
+        assert cli.main(["table1", "--iters", "2", "--N-list", "4", "--T", "8",
+                         "--out", str(out)]) == 0
+        rows = load_report(out).rows
+        cells = re.findall(r"^\s+(\w+) +(\w+) +N=(\d+) .* over (\d+) runs "
+                           r"finite_bounds=(\d+)/(\d+)$",
+                           capsys.readouterr().err, re.M)
+        assert len(cells) == 6
+        for kind, policy, N, count, finite, total in cells:
+            mine = [r for r in rows if (r.cost_kind, r.policy, r.N) == (kind, policy, int(N))]
+            assert int(count) == int(total) == len(mine) == 2
+            assert int(finite) == sum(math.isfinite(r.bound) for r in mine)
+            if kind != "quadratic":
+                assert int(finite) == 0
+
+
+class TestNList:
+    @pytest.mark.parametrize("text,message", [
+        ("abc", "N list must be comma-separated integers, got 'abc'"),
+        ("", "N list must not be empty, got ''"),
+    ])
+    def test_bad_flag_is_usage_error(self, text, message):
+        proc = run_cli("table1", "--N-list", text, expect=2)
+        assert f"argument --N-list: {message}" in proc.stderr
+        assert "_parse_n_list" not in proc.stderr
 
 
 def test_console_script_installed(tmp_path):

@@ -184,13 +184,9 @@ class TestScenarioParams:
         assert params.certified
         assert 0 < params.beta <= 1
 
-    def test_sampled_not_certified_but_deterministic(self):
-        sc = gen_scenario(2, ScenarioConfig(cost_kind="set_distance", T=8, N=4))
-        p1 = scenario_params(sc, sample_budget=16)
-        p2 = scenario_params(sc, sample_budget=16)
-        assert not p1.certified
-        assert (p1.alpha_lo, p1.alpha_hi, p1.gamma_bar_sq) == \
-            (p2.alpha_lo, p2.alpha_hi, p2.gamma_bar_sq)
+    def test_non_quadratic_has_no_envelope(self):
+        for kind in ("nonconvex", "set_distance"):
+            assert scenario_params(gen_scenario(2, ScenarioConfig(cost_kind=kind))) is None
 
 
 class TestRunComparison:
