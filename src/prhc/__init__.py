@@ -23,6 +23,7 @@ from .costs import (
     EnvelopeParams,
     NonConvexCost,
     QuadraticCost,
+    SeparableCost,
     SetDistanceCost,
     estimate_alpha_lower,
     estimate_gamma_alpha_upper,

@@ -9,6 +9,13 @@ eval(np.arange(t0, t0 + N), xs, us) costs a window in one call, and
 eval(t, x[:, None, :], u[None, :, :]) costs every (state, input) pair, as the
 brute-force grid oracle does. The shipped models give a stage the same bits
 batched as alone (SetDistanceCost to a few ulps).
+
+The shipped models are SeparableCost: a stage cost is a state term plus an
+input term, and eval adds the two, so a caller that needs the terms apart
+gets the same bits as eval. The grid oracle's last stage uses this to cost
+its rows plus its inputs instead of every (row, input) pair, with the same
+minimum bit for bit, because round-to-nearest addition is monotone; a model
+that defines only eval gets the full scan.
 """
 
 from __future__ import annotations
@@ -21,12 +28,11 @@ from .linsys import LinearSystem, StackedDynamics, Trajectory, stack_dynamics
 
 __all__ = [
     "CostModel",
+    "SeparableCost",
     "QuadraticCost",
     "NonConvexCost",
     "SetDistanceCost",
     "EnvelopeParams",
-    "AlphaEstimate",
-    "UpperEstimate",
     "total_cost",
     "sigma_eval",
     "estimate_alpha_lower",
@@ -85,7 +91,26 @@ class CostModel:
             )
 
 
-class QuadraticCost(CostModel):
+class SeparableCost(CostModel):
+    """c_t(x, u) = state_cost(t, x) + input_cost(t, u).
+
+    eval is that sum and nothing else, so the terms taken apart add up to
+    eval's bits. Both terms broadcast like eval and return arrays:
+    state_cost(t, x) is shaped like x without its trailing axis, and
+    input_cost(t, u) like u without its trailing axis, for an int t.
+    """
+
+    def state_cost(self, t, x):
+        raise NotImplementedError
+
+    def input_cost(self, t, u):
+        raise NotImplementedError
+
+    def eval(self, t, x, u):
+        return self.state_cost(t, x) + self.input_cost(t, u)
+
+
+class QuadraticCost(SeparableCost):
     """c_t(x, u) = x'Q_t x + u'R_t u with positive-definite Q_t, R_t.
 
     Only the symmetric parts of Q_t and R_t enter the cost, so those are what
@@ -129,10 +154,11 @@ class QuadraticCost(CostModel):
     def m(self):
         return self.R_seq.shape[1]
 
-    def eval(self, t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return _form(x, self.Q_seq[t]) + _form(u, self.R_seq[t])
+    def state_cost(self, t, x):
+        return _form(np.asarray(x, dtype=float), self.Q_seq[t])
+
+    def input_cost(self, t, u):
+        return _form(np.asarray(u, dtype=float), self.R_seq[t])
 
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,7 +187,13 @@ def _form(v, M):
     return np.einsum("...i,...ij,...j->...", v, M, v)
 
 
-class NonConvexCost(CostModel):
+def _energy(u):
+    """u'u over the trailing axis."""
+    u = np.asarray(u, dtype=float)
+    return np.sum(u * u, axis=-1)
+
+
+class NonConvexCost(SeparableCost):
     """c(x, u) = |x_1 - b|^3 + (x_2 - b)^2 + u'u; needs at least two states.
 
     A convex, non-quadratic cubic well: |t|^3 has second derivative 6|t|, and
@@ -175,9 +207,11 @@ class NonConvexCost(CostModel):
     def __init__(self, b: float = 0.2):
         self.b = float(b)
 
-    def eval(self, t, x, u):
-        u = np.asarray(u, dtype=float)
-        return self.sigma(x) + np.sum(u * u, axis=-1)
+    def state_cost(self, t, x):
+        return self.sigma(x)
+
+    def input_cost(self, t, u):
+        return _energy(u)
 
     def sigma(self, x):
         x = np.asarray(x, dtype=float)
@@ -199,7 +233,7 @@ class NonConvexCost(CostModel):
         return gx, 2.0 * u
 
 
-class SetDistanceCost(CostModel):
+class SetDistanceCost(SeparableCost):
     """c_t(x, u) = a_t * dist(x, ball)^2 + u'u, squared Euclidean ball distance."""
 
     convex = True
@@ -227,9 +261,11 @@ class SetDistanceCost(CostModel):
         h = np.maximum(d - self.radius, 0.0)
         return h * h
 
-    def eval(self, t, x, u):
-        u = np.asarray(u, dtype=float)
-        return self.a_seq[t] * self.sigma(x) + np.sum(u * u, axis=-1)
+    def state_cost(self, t, x):
+        return self.a_seq[t] * self.sigma(x)
+
+    def input_cost(self, t, u):
+        return _energy(u)
 
     def gradient(self, t, x, u):
         x = np.asarray(x, dtype=float)
@@ -297,17 +333,6 @@ class EnvelopeParams:
         )
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    value: float
-
-
-@dataclass(frozen=True)
-class UpperEstimate:
-    alpha_hi: float
-    gamma_bar_sq: float
-
-
 def total_cost(traj: Trajectory, costs: CostModel) -> float:
     """Sum of stage costs along a trajectory."""
     T = traj.T
@@ -336,17 +361,14 @@ def sigma_eval(costs: CostModel, x) -> float:
     return float(costs.sigma(np.asarray(x, dtype=float)))
 
 
-def estimate_alpha_lower(costs: CostModel) -> AlphaEstimate:
-    """Largest alpha_lo with eval(t, x, 0) >= alpha_lo * sigma(x), exact for
-    the quadratic model (smallest Q eigenvalue across stages) and the
-    set-distance model (smallest a_t). Any other model raises ValueError
-    naming its class.
+def estimate_alpha_lower(costs: CostModel) -> float:
+    """Largest alpha_lo with eval(t, x, 0) >= alpha_lo * sigma(x) for the
+    quadratic model: the smallest Q eigenvalue across stages. Any other
+    model raises ValueError naming its class.
     """
-    if isinstance(costs, QuadraticCost):
-        return AlphaEstimate(value=float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min()))
-    if isinstance(costs, SetDistanceCost):
-        return AlphaEstimate(value=float(costs.a_seq.min()))
-    raise ValueError(f"no exact alpha_lo for {type(costs).__name__}")
+    if not isinstance(costs, QuadraticCost):
+        raise ValueError(f"no exact alpha_lo for {type(costs).__name__}")
+    return float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min())
 
 
 def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
@@ -590,7 +612,7 @@ def _exact_quadratic_upper(sys, costs, N):
     return alpha_hi, gamma_sq
 
 
-def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> UpperEstimate:
+def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> tuple:
     """Constants (alpha_hi, gamma_bar_sq) with V_t(x, w) <= alpha_hi*sigma(x) + gamma_bar_sq*sum||w_k||^2.
 
     Only quadratic costs have them: V_t is a quadratic form in (x, w),
@@ -612,16 +634,15 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> U
         raise ValueError(f"no exact envelope for {type(costs).__name__}")
     if N < 1:
         raise ValueError(f"horizon must be at least 1, got {N}")
-    alpha_hi, gamma_sq = _exact_quadratic_upper(sys, costs, N)
-    return UpperEstimate(alpha_hi=alpha_hi, gamma_bar_sq=gamma_sq)
+    return _exact_quadratic_upper(sys, costs, N)
 
 
 def estimate_params(sys: LinearSystem, costs: CostModel, N: int) -> EnvelopeParams:
     """Exact envelope constants of a quadratic model; any other model
     raises ValueError naming its class."""
-    upper = estimate_gamma_alpha_upper(sys, costs, N)
+    alpha_hi, gamma_sq = estimate_gamma_alpha_upper(sys, costs, N)
     return EnvelopeParams.from_alphas(
-        alpha_lo=estimate_alpha_lower(costs).value,
-        alpha_hi=upper.alpha_hi,
-        gamma_bar_sq=max(upper.gamma_bar_sq, 1e-12),
+        alpha_lo=estimate_alpha_lower(costs),
+        alpha_hi=alpha_hi,
+        gamma_bar_sq=max(gamma_sq, 1e-12),
     )

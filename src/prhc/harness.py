@@ -26,6 +26,7 @@ from .costs import (
     EnvelopeParams,
     NonConvexCost,
     QuadraticCost,
+    SeparableCost,
     SetDistanceCost,
     _stage_costs,
     estimate_params,
@@ -378,6 +379,12 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     Each stage writes its blocks' summed costs and next states into one pair
     of buffers, allocated per call and reused block after block, which hold
     at most (1 + n) * EVAL_CHUNK doubles.
+
+    The last stage's next state is never costed, so for a SeparableCost a
+    block there costs its rows plus its inputs, not every pair (see
+    _separable_min); its temporaries hold a few doubles per row of the
+    block. Models that define only eval get the full scan, which is the
+    reference: the shortcut returns the same (J, u) bits.
     Returns (J, u) with u the flat point of length T*m.
     """
     T, m, n = sc.T, sc.sys.m, sc.sys.n
@@ -396,6 +403,15 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         size = min(rows, size) * cols
         vals_buf.append(np.empty(size))
     x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
+    # a separable model's last-stage input terms per column block, with their
+    # first argmin, where all of them are finite
+    g_last = {}
+    if isinstance(costs, SeparableCost):
+        u_last, cols = inputs[-1], blocks[-1][1]
+        for k0 in range(0, len(u_last), cols):
+            g = costs.input_cost(T - 1, u_last[None, k0:k0 + cols, :])[0]
+            if np.isfinite(g).all():
+                g_last[k0] = (g, int(np.argmin(g)))
 
     def scan(t, x, c):
         # (value, prefix row, input index per stage from t on); NaN ends the scan
@@ -410,13 +426,18 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
                 xA = (xb @ A_T)[:, None, :]
             for k0 in range(0, len(u), cols):
                 ub = u[k0:k0 + cols]
-                pairs = len(cb) * len(ub)
-                vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
-                np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
-                       out=vals)
+                found = (_separable_min(costs, t, xb, cb, *g_last[k0], best[0])
+                         if last and k0 in g_last else None)
+                if found is None:
+                    pairs = len(cb) * len(ub)
+                    vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
+                    np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
+                           out=vals)
                 if last:
-                    flat = int(np.argmin(vals))
-                    val, path = float(vals.flat[flat]), []
+                    if found is None:
+                        flat = int(np.argmin(vals))
+                        found = float(vals.flat[flat]), flat
+                    (val, flat), path = found, []
                 else:
                     x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
                     np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)
@@ -447,6 +468,33 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
             f"u={point.tolist()}"
         )
     return val, point
+
+
+def _separable_min(costs: SeparableCost, t: int, xb, cb, g, k_star: int, bound: float):
+    """(value, flat index) of the first row-major minimum of the block
+    cb[:, None] + costs.eval(t, xb[:, None, :], u[None]), where g holds the
+    input terms over u, all finite, and k_star is their first argmin; None
+    unless every row's value at k_star is finite. A block minimum that is
+    not below `bound`, the scan's best so far, cannot win, and its index
+    reads -1.
+
+    A value is cb_r + (f_r + g_k) for the state term f_r. Round-to-nearest
+    addition is monotone, so each row is smallest at k_star, and no row
+    before the first one whose value there is the block minimum reaches it.
+    That one row is costed in full for its first argmin, which may lie
+    before k_star where rounding ties it. Finite values leave no NaN that
+    could end the scan, so the result is the full block's, bit for bit.
+    """
+    f = costs.state_cost(t, xb[:, None, :])[:, 0]
+    at_k = cb + (f + g[k_star])
+    if not np.isfinite(at_k).all():
+        return None
+    r = int(at_k.argmin())
+    if not at_k[r] < bound:
+        return float(at_k[r]), -1
+    row = cb[r] + (f[r] + g)
+    col = int(row.argmin())
+    return float(row[col]), r * len(g) + col
 
 
 def _first_nan_stage(sc: Scenario, point: np.ndarray) -> int:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prhc.costs import (
-    AlphaEstimate,
     CostModel,
     EnvelopeParams,
     NonConvexCost,
@@ -165,8 +164,7 @@ class TestAlphaLower:
     def test_quadratic_diagonal(self):
         Q = np.stack([np.diag([2.0, 3.0])] * 4)
         R = np.stack([np.eye(1)] * 4)
-        est = estimate_alpha_lower(QuadraticCost(Q, R))
-        assert est.value == pytest.approx(2.0, abs=1e-12)
+        assert estimate_alpha_lower(QuadraticCost(Q, R)) == pytest.approx(2.0, abs=1e-12)
 
     def test_quadratic_equals_per_stage_eigenvalues(self):
         rng = np.random.default_rng(12)
@@ -174,17 +172,17 @@ class TestAlphaLower:
         costs = QuadraticCost(M @ M.transpose(0, 2, 1) + 0.1 * np.eye(4),
                               np.ones((9, 1, 1)))
         ref = min(float(np.linalg.eigvalsh(Q)[0]) for Q in costs.Q_seq)
-        assert estimate_alpha_lower(costs).value == ref
-
-    def test_set_distance_min_coefficient(self):
-        costs = SetDistanceCost([0.4, 0.9, 0.7], center=[0.5, 0.5], radius=0.25)
-        est = estimate_alpha_lower(costs)
-        assert est.value == pytest.approx(0.4, abs=1e-15)
+        assert estimate_alpha_lower(costs) == ref
 
     def test_nonconvex_rejected(self):
-        # only the quadratic and set-distance models have an exact alpha_lo
+        # only the quadratic model has an exact alpha_lo
         with pytest.raises(ValueError, match="no exact alpha_lo for NonConvexCost"):
             estimate_alpha_lower(NonConvexCost(b=0.2))
+
+    def test_set_distance_rejected(self):
+        costs = SetDistanceCost([0.4, 0.9, 0.7], center=[0.5, 0.5], radius=0.25)
+        with pytest.raises(ValueError, match="no exact alpha_lo for SetDistanceCost"):
+            estimate_alpha_lower(costs)
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="no exact alpha_lo for ZeroSigmaCost"):
@@ -195,9 +193,9 @@ class TestUpperEstimate:
     def test_scalar_exact_pair(self):
         sys = LinearSystem(A=[[0.0]], B=[[1.0]])
         costs = make_quad(n=1, m=1, T=1)
-        est = estimate_gamma_alpha_upper(sys, costs, N=1)
-        assert est.alpha_hi == pytest.approx(1.0, abs=1e-12)
-        assert est.gamma_bar_sq == pytest.approx(0.0, abs=1e-12)
+        alpha_hi, gamma_sq = estimate_gamma_alpha_upper(sys, costs, N=1)
+        assert alpha_hi == pytest.approx(1.0, abs=1e-12)
+        assert gamma_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_cost_rejected(self):
         sys = LinearSystem(A=[[0.0, 0.0], [0.0, 0.0]], B=[[1.0], [0.0]])
@@ -214,7 +212,7 @@ class TestUpperEstimate:
         n, m, N, L = 2, 1, 4, 6
         sys = LinearSystem(A=rng.uniform(0, 1, (n, n)), B=rng.uniform(0, 1, (n, m)))
         costs = random_quad(rng, n, m, L)
-        est = estimate_gamma_alpha_upper(sys, costs, N=N)
+        alpha_hi, gamma_sq = estimate_gamma_alpha_upper(sys, costs, N=N)
 
         total_samples = 10_000
         starts = rng.integers(0, L, size=total_samples)
@@ -243,7 +241,7 @@ class TestUpperEstimate:
             )
             sig = np.sum(X * X, axis=1)
             energy = np.sum(W * W, axis=1)
-            bound = est.alpha_hi * sig + est.gamma_bar_sq * energy
+            bound = alpha_hi * sig + gamma_sq * energy
             assert np.all(values <= bound * (1 + 1e-9) + 1e-9)
             checked += count
             spot_checks.append((t0, h, X[0], W[0], values[0]))
@@ -280,8 +278,7 @@ class TestQuadraticValueForm:
             alpha_hi = max(alpha_hi, float(np.linalg.eigvalsh(P[:n, :n])[-1]) + cross)
             lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
             gamma_sq = max(gamma_sq, lam_w + cross)
-        est = estimate_gamma_alpha_upper(sys, costs, N=N)
-        assert (est.alpha_hi, est.gamma_bar_sq) == (alpha_hi, gamma_sq)
+        assert estimate_gamma_alpha_upper(sys, costs, N=N) == (alpha_hi, gamma_sq)
 
     def test_matches_solver_value(self):
         rng = np.random.default_rng(3)
@@ -400,9 +397,11 @@ class TestModelInvariants:
             SetDistanceCost(rng.uniform(0.05, 1, 3), center=[0.5, 0.5], radius=0.25),
         ]
         for costs in models:
-            # the cubic well has eval(t, x, 0) = sigma(x), so alpha_lo = 1
+            # the cubic well has eval(t, x, 0) = sigma(x), so alpha_lo = 1;
+            # the set-distance model has eval(t, x, 0) = a_t sigma(x)
             alpha = (1.0 if isinstance(costs, NonConvexCost)
-                     else estimate_alpha_lower(costs).value)
+                     else costs.a_seq.min() if isinstance(costs, SetDistanceCost)
+                     else estimate_alpha_lower(costs))
             for t in range(3 if costs.length else 1):
                 for _ in range(50):
                     x = rng.uniform(-2, 2, 2)

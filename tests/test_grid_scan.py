@@ -1,4 +1,5 @@
-"""Property test: the stage-by-stage grid scan against plain enumeration."""
+"""The stage-by-stage grid scan against plain enumeration, and its separable
+last stage against the full scan of the same model through eval alone."""
 
 import dataclasses
 import itertools
@@ -11,11 +12,35 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from prhc import harness  # noqa: E402
-from prhc.costs import total_cost  # noqa: E402
+from prhc.costs import CostModel, SeparableCost, total_cost  # noqa: E402
 from prhc.harness import COST_KINDS, ScenarioConfig, gen_scenario  # noqa: E402
 from prhc.linsys import LinearSystem, rollout  # noqa: E402
 
 MAX_POINTS = 800   # keeps the reference enumeration quick
+
+
+class EvalOnly(CostModel):
+    """A model's eval and nothing else: not a SeparableCost, so the scan
+    costs every pair of the last stage. The full scan is the reference."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.convex = inner.convex
+        self.length = inner.length
+
+    def eval(self, t, x, u):
+        return self.inner.eval(t, x, u)
+
+    def sigma(self, x):
+        return self.inner.sigma(x)
+
+
+def full_scan(sc, axes):
+    return harness._grid_scan(dataclasses.replace(sc, costs=EvalOnly(sc.costs)), axes)
+
+
+def bits(J, u) -> tuple:
+    return np.float64(J).tobytes(), u.tobytes()
 
 
 def enumerated_cost(sc, point) -> float:
@@ -36,8 +61,15 @@ def instances(draw):
         top = max(2, min(6, budget // 2 ** (T * m - len(axes) - 1)))
         size = draw(st.integers(2, top))
         budget //= size
-        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
-                               max_size=size, unique=True))
+        if draw(st.booleans()):
+            values = draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
+                                   max_size=size, unique=True))
+        else:
+            # mirrored values +-a, whose input terms tie under the shipped models
+            mags = draw(st.lists(st.floats(0.01, 2.0), min_size=(size + 1) // 2,
+                                 max_size=(size + 1) // 2, unique=True))
+            values = draw(st.permutations([s * a for a in mags for s in (1.0, -1.0)]))
+            values = values[:size]
         axes.append(np.array(values))
     chunk = draw(st.sampled_from([None, 1, 5, 64]))
     sc = gen_scenario(seed, ScenarioConfig(cost_kind=kind, n=n, m=m, T=T, N=T))
@@ -55,8 +87,119 @@ def test_scan_matches_enumeration(instance):
         if chunk is not None:
             mp.setattr(harness, "EVAL_CHUNK", chunk)
         J, u = harness._grid_scan(sc, axes)
+        J_full, u_full = full_scan(sc, axes)
+    # the separable last stage returns the full scan's minimum, bit for bit
+    assert isinstance(sc.costs, SeparableCost)
+    assert bits(J, u) == bits(J_full, u_full)
     J_ref = min(enumerated_cost(sc, p) for p in itertools.product(*axes))
     assert math.isclose(J, J_ref, rel_tol=1e-12)
     assert u.shape == (len(axes),)
     assert all(u[j] in axes[j] for j in range(len(axes)))
     assert math.isclose(enumerated_cost(sc, u), J_ref, rel_tol=1e-12)
+
+
+class PoisonedTerms(SeparableCost):
+    """Unit quadratic terms. At stage `stage`, the state term is `value` where
+    x_0 > 1 (or everywhere, with region="all"), or the input term is `value`
+    where u_0 < -1.5, as `term` says."""
+
+    convex = True
+    length = None
+
+    def __init__(self, value, stage, term="state", region="some"):
+        self.value, self.stage, self.term, self.region = value, stage, term, region
+
+    def _poison(self, t, c, hit):
+        hit = hit & (np.asarray(t) == self.stage)
+        return np.where(hit, self.value, c)
+
+    def state_cost(self, t, x):
+        x = np.asarray(x, dtype=float)
+        c = np.sum(x * x, axis=-1)
+        if self.term != "state":
+            return c
+        return self._poison(t, c, x[..., 0] > 1.0 if self.region == "some" else True)
+
+    def input_cost(self, t, u):
+        u = np.asarray(u, dtype=float)
+        c = np.sum(u * u, axis=-1)
+        return self._poison(t, c, u[..., 0] < -1.5) if self.term == "input" else c
+
+    def sigma(self, x):
+        return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+
+
+def poisoned_scenario(costs):
+    sc = gen_scenario(3, ScenarioConfig(n=1, m=1, T=3, N=3))
+    return dataclasses.replace(sc, costs=costs), [np.linspace(-2.0, 2.0, 9)] * 3
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("term", ["state", "input"])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_nan_parity_with_full_scan(stage, term, chunk):
+    sc, axes = poisoned_scenario(PoisonedTerms(math.nan, stage, term))
+    errors = []
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(harness, "EVAL_CHUNK", chunk)
+        for scan in (harness._grid_scan, full_scan):
+            with pytest.raises(ValueError, match=f"cost is NaN at stage {stage} ") as exc:
+                scan(sc, axes)
+            errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("term", ["state", "input"])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_inf_parity_with_full_scan(stage, term, chunk):
+    sc, axes = poisoned_scenario(PoisonedTerms(math.inf, stage, term))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(harness, "EVAL_CHUNK", chunk)
+        J, u = harness._grid_scan(sc, axes)
+        J_full, u_full = full_scan(sc, axes)
+    assert math.isfinite(J)
+    assert bits(J, u) == bits(J_full, u_full)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_all_inf_parity_with_full_scan(stage):
+    sc, axes = poisoned_scenario(PoisonedTerms(math.inf, stage, region="all"))
+    errors = []
+    for scan in (harness._grid_scan, full_scan):
+        with pytest.raises(ValueError, match="no finite cost on the grid") as exc:
+            scan(sc, axes)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+class HugeState(SeparableCost):
+    """A state term of 2^60, whose ulp of 256 absorbs any input term below
+    128: every input then ties in the sum, though not in the input term."""
+
+    convex = True
+    length = None
+
+    def state_cost(self, t, x):
+        return np.full(np.shape(x)[:-1], 2.0 ** 60)
+
+    def input_cost(self, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.sum(u * u, axis=-1)
+
+    def sigma(self, x):
+        return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+
+
+def test_rounding_tie_keeps_the_first_input():
+    # the input terms' first argmin is u = 0, but the total ties from u = 2
+    # on, so the first grid point is (2, 2)
+    sc = dataclasses.replace(gen_scenario(0, ScenarioConfig(n=1, m=1, T=2, N=2)),
+                             costs=HugeState())
+    axes = [np.array([2.0, 1.0, 0.0])] * 2
+    J, u = harness._grid_scan(sc, axes)
+    J_full, u_full = full_scan(sc, axes)
+    assert bits(J, u) == bits(J_full, u_full)
+    assert u.tolist() == [2.0, 2.0]

@@ -328,9 +328,11 @@ class TestSolveGeneral:
             NonConvexCost(b=0.2),
         ]
         for costs in models:
-            # the cubic well has eval(t, x, 0) = sigma(x), so alpha_lo = 1
+            # the cubic well has eval(t, x, 0) = sigma(x), so alpha_lo = 1;
+            # the set-distance model has eval(t, x, 0) = a_t sigma(x)
             alpha = (1.0 if isinstance(costs, NonConvexCost)
-                     else estimate_alpha_lower(costs).value)
+                     else costs.a_seq.min() if isinstance(costs, SetDistanceCost)
+                     else estimate_alpha_lower(costs))
             p = make_problem(sys, costs, rng.uniform(-1, 1, 2),
                              rng.uniform(0, 0.5, (4, 2)))
             sol = solve(p, SolverConfig())
