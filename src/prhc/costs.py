@@ -462,6 +462,9 @@ def _riccati_step(A, B, Q, R, Lam, starts):
     with no cancellation, symmetrized. The normal matrix of a window is
     positive definite exactly when all its U are, so a U without a Cholesky
     factor raises ValueError naming starts[i], the start of its window.
+    K is the inverse of U times B'Lam A: a stacked solve with n right-hand
+    sides takes over twice as long, and for m = 1 and n >= 2 gives the same
+    bits, since both multiply by the pivot's reciprocal.
     """
     LB = Lam @ B
     U = R + B.T @ LB
@@ -471,7 +474,7 @@ def _riccati_step(A, B, Q, R, Lam, starts):
         t0 = starts[int(np.argmin(_has_cholesky(U)))]
         raise ValueError(
             f"normal matrix of the window from start {t0} is singular: {exc}") from exc
-    K = np.linalg.solve(U, LB.transpose(0, 2, 1) @ A)
+    K = np.linalg.inv(U) @ (LB.transpose(0, 2, 1) @ A)
     Acl = A - B @ K
     new = Q + K.transpose(0, 2, 1) @ R @ K + Acl.transpose(0, 2, 1) @ Lam @ Acl
     return U, K, Acl, 0.5 * (new + new.transpose(0, 2, 1))
@@ -565,39 +568,49 @@ def _exact_quadratic_upper(sys, costs, N):
     left gets the dense form and its w-block eigenvalues, and a game sweep
     at each window's level (running maximum less its cross term) drops the
     windows it certifies; this repeats until no window is left. Windows that
-    tie the maximum, as under time-invariant weights, are never certified
-    and all get the dense form. alpha_hi takes the dense form of the windows
-    within SCREEN_MARGIN of the largest sweep value; a window the gamma loop
-    did not reach needs no w-block eigenvalues.
+    tie the maximum, as under time-invariant weights, are never certified,
+    but windows with equal horizon and stage weights have bitwise-equal
+    value forms, so each distinct weight slice gets one dense form. alpha_hi
+    takes the dense form of the windows within SCREEN_MARGIN of the largest
+    sweep value; a window the gamma loop did not reach needs no w-block
+    eigenvalues.
     """
     L, n = costs.length, sys.n
     lam_x, cross = _lqr_sweep(sys, costs, N)
+    Q, R = costs.Q_seq, costs.R_seq
+    built = {}  # horizon -> (start, candidates) of every value form built
 
     def candidates(t0, with_gamma):
         # (alpha, gamma) candidates of eigvalsh on the window's value form;
-        # gamma is None unless asked for, and costs no w-block eigenvalues then
+        # gamma is None unless asked for, and costs no w-block eigenvalues then.
+        # A window reuses those of a built one with the same horizon and
+        # weight bits, whose value form is bitwise equal; calls without
+        # gamma come after all calls with it
         h = min(N, L - t0)
+        for s, found in built.get(h, ()):
+            if (Q[s:s + h].tobytes() == Q[t0:t0 + h].tobytes()
+                    and R[s:s + h].tobytes() == R[t0:t0 + h].tobytes()):
+                return found
         P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
         if not np.isfinite(P).all():
             raise ValueError(f"value form of the window from start {t0} is not finite")
         cr = float(np.linalg.norm(P[:n, n:], 2))
         top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
-        if not with_gamma:
-            return top_x + cr, None
-        # H's last block column is zero, and so are the last block row and
-        # column of the w-block; they add only a zero eigenvalue
-        top_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
-        return top_x + cr, top_w + cr
+        gamma = None
+        if with_gamma:
+            # H's last block column is zero, and so are the last block row and
+            # column of the w-block; they add only a zero eigenvalue
+            gamma = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)) + cr
+        built.setdefault(h, []).append((t0, (top_x + cr, gamma)))
+        return top_x + cr, gamma
 
-    alpha_at = {}  # alpha candidate of every window the gamma loop made dense
     gamma_sq = 0.0
     live = np.arange(L)
     swept_at = None
     while live.size:
         i = int(np.argmax(cross[live]))
         t0 = int(live[i])
-        alpha_at[t0], gamma = candidates(t0, True)
-        gamma_sq = max(gamma_sq, gamma)
+        gamma_sq = max(gamma_sq, candidates(t0, True)[1])
         live = np.delete(live, i)
         # certification depends on gamma_sq alone, so a window the last
         # sweep kept stays kept until gamma_sq moves
@@ -607,8 +620,7 @@ def _exact_quadratic_upper(sys, costs, N):
             swept_at = gamma_sq
     swept = lam_x + cross
     near = np.flatnonzero(swept >= swept.max() * (1.0 - SCREEN_MARGIN))
-    alpha_hi = max(alpha_at[t0] if t0 in alpha_at else candidates(t0, False)[0]
-                   for t0 in near.tolist())
+    alpha_hi = max(candidates(t0, False)[0] for t0 in near.tolist())
     return alpha_hi, gamma_sq
 
 

@@ -382,9 +382,18 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
 
     The last stage's next state is never costed, so for a SeparableCost a
     block there costs its rows plus its inputs, not every pair (see
-    _separable_min); its temporaries hold a few doubles per row of the
-    block. Models that define only eval get the full scan, which is the
-    reference: the shortcut returns the same (J, u) bits.
+    _separable_min); that is exact because round-to-nearest addition is
+    monotone. When the stage's inputs fit one column block and their input
+    terms are all finite, its rows go in tall blocks of EVAL_CHUNK // 8
+    rows, rounded down to whole pair blocks: their temporaries, a few
+    doubles per row and state coordinate, stay within a pair block's
+    (1 + n) * EVAL_CHUNK doubles. A tall block with a non-finite value at
+    the input terms' first argmin is scanned in full in its pair blocks, in
+    order, so NaN errors, inf handling and ties are the full scan's. With
+    several column blocks a row block is one row tall, and each (row,
+    column block) takes the shortcut alone. Models that define only eval
+    get the full scan, which is the reference: the shortcut returns the
+    same (J, u) bits.
     Returns (J, u) with u the flat point of length T*m.
     """
     T, m, n = sc.T, sc.sys.m, sc.sys.n
@@ -404,14 +413,18 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         vals_buf.append(np.empty(size))
     x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
     # a separable model's last-stage input terms per column block, with their
-    # first argmin, where all of them are finite
+    # first argmin, where all of them are finite; tall is the last stage's
+    # tall row-block height, 0 where it keeps its pair blocks
     g_last = {}
+    tall = 0
     if isinstance(costs, SeparableCost):
-        u_last, cols = inputs[-1], blocks[-1][1]
+        u_last, (rows, cols) = inputs[-1], blocks[-1]
         for k0 in range(0, len(u_last), cols):
             g = costs.input_cost(T - 1, u_last[None, k0:k0 + cols, :])[0]
             if np.isfinite(g).all():
                 g_last[k0] = (g, int(np.argmin(g)))
+        if cols == len(u_last) and g_last:
+            tall = max(1, EVAL_CHUNK // 8 // rows) * rows
 
     def scan(t, x, c):
         # (value, prefix row, input index per stage from t on); NaN ends the scan
@@ -419,7 +432,18 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         last = t == T - 1
         rows, cols = blocks[t]
         best = (math.inf, -1, None)
-        for r0 in range(0, len(c), rows):
+        r0 = 0
+        while r0 < len(c):
+            if last and tall and r0 % tall == 0:
+                found = _separable_min(costs, t, x[r0:r0 + tall], c[r0:r0 + tall],
+                                       *g_last[0], best[0])
+                if found is not None:
+                    val, flat = found
+                    if val < best[0]:
+                        row, col = divmod(flat, len(u))
+                        best = (val, r0 + row, [col])
+                    r0 += tall
+                    continue
             xb = x[r0:r0 + rows]
             cb = c[r0:r0 + rows]
             if not last:
@@ -427,7 +451,7 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
             for k0 in range(0, len(u), cols):
                 ub = u[k0:k0 + cols]
                 found = (_separable_min(costs, t, xb, cb, *g_last[k0], best[0])
-                         if last and k0 in g_last else None)
+                         if last and not tall and k0 in g_last else None)
                 if found is None:
                     pairs = len(cb) * len(ub)
                     vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
@@ -449,6 +473,7 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
                     best = (val, r0 + row, [k0 + col] + path)
                     if math.isnan(val):
                         return best
+            r0 += rows
         return best
 
     try:

@@ -203,3 +203,111 @@ def test_rounding_tie_keeps_the_first_input():
     J_full, u_full = full_scan(sc, axes)
     assert bits(J, u) == bits(J_full, u_full)
     assert u.tolist() == [2.0, 2.0]
+
+
+class EnergyOnly(SeparableCost):
+    """A zero state term and the input energy u'u: a grid point costs the
+    sum of its inputs' squares, so inputs +-a tie exactly."""
+
+    convex = True
+    length = None
+
+    def state_cost(self, t, x):
+        return np.zeros(np.shape(x)[:-1])
+
+    def input_cost(self, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.sum(u * u, axis=-1)
+
+    def sigma(self, x):
+        return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+
+
+# With EVAL_CHUNK = 256, a T = 2 grid of 64 x 16 points reaches its last
+# stage as one block of 64 prefix rows, which the separable last stage takes
+# in tall blocks of 32 rows, two pair blocks of 16 rows each
+TALL_CHUNK = 256
+
+
+def tall_scenario(costs):
+    """n = m = 1, T = 2 and A = 0, B = 1: the last stage's state is
+    u_0 + w[0], and its prefix row r has the stage-0 input axes[0][r]."""
+    sc = gen_scenario(3, ScenarioConfig(n=1, m=1, T=2, N=2))
+    sys = LinearSystem(A=np.zeros((1, 1)), B=np.ones((1, 1)))
+    return dataclasses.replace(sc, sys=sys, costs=costs)
+
+
+@pytest.fixture
+def tall_blocks(monkeypatch):
+    """Patches EVAL_CHUNK to TALL_CHUNK and records the row count of every
+    _separable_min call with whether it took its block."""
+    monkeypatch.setattr(harness, "EVAL_CHUNK", TALL_CHUNK)
+    calls = []
+    real = harness._separable_min
+
+    def recording(costs, t, xb, *args):
+        found = real(costs, t, xb, *args)
+        calls.append((len(xb), found is not None))
+        return found
+
+    monkeypatch.setattr(harness, "_separable_min", recording)
+    return calls
+
+
+@pytest.mark.parametrize("first", [15, 31, 47])  # pair, tall, pair block boundary
+def test_tie_across_a_row_block_boundary_keeps_the_first_point(tall_blocks, first):
+    # the smallest stage-0 input magnitude sits at rows first and first + 1,
+    # the last row of one block and the first row of the next
+    axis0 = np.linspace(0.5, 2.0, 64) * (-1.0) ** np.arange(64)
+    axis0[first], axis0[first + 1] = -0.25, 0.25
+    axes = [axis0, np.linspace(-2.0, 2.0, 16)]
+    sc = tall_scenario(EnergyOnly())
+    J, u = harness._grid_scan(sc, axes)
+    assert tall_blocks == [(32, True), (32, True)]
+    J_full, u_full = full_scan(sc, axes)
+    assert bits(J, u) == bits(J_full, u_full)
+    assert u[0] == -0.25
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_state_term_in_a_later_tall_block(tall_blocks, value):
+    # PoisonedTerms poisons the last stage where its state u_0 + w[0] > 1,
+    # which here is only in the second tall block; that block falls back to
+    # its pair blocks, which are scanned in full
+    axes = [np.linspace(-2.0, 2.0, 64), np.linspace(-2.0, 2.0, 16)]
+    sc = tall_scenario(PoisonedTerms(value, 1))
+    assert np.flatnonzero(axes[0] + sc.w_full.w[0, 0] > 1.0).min() >= 32
+    if math.isnan(value):
+        errors = []
+        for scan in (harness._grid_scan, full_scan):
+            with pytest.raises(ValueError, match="cost is NaN at stage 1 ") as exc:
+                scan(sc, axes)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+    else:
+        J, u = harness._grid_scan(sc, axes)
+        J_full, u_full = full_scan(sc, axes)
+        assert math.isfinite(J)
+        assert bits(J, u) == bits(J_full, u_full)
+    assert tall_blocks[:2] == [(32, True), (32, False)]
+
+
+@pytest.mark.parametrize("chunk", [7, 16])
+@pytest.mark.parametrize("model", ["scenario", "huge_state"])
+def test_m2_with_several_column_blocks(model, chunk):
+    # 36 inputs per stage in column blocks of `chunk`: the last stage keeps
+    # one-row blocks, each column block taking the shortcut alone, and the
+    # mirrored axes and HugeState make input terms tie across column blocks
+    axis = np.array([-1.5, -0.5, 0.25, 0.5, 1.5, -0.25])
+    for seed in range(4):
+        sc = gen_scenario(seed, ScenarioConfig(cost_kind=COST_KINDS[seed % 3], n=2,
+                                               m=2, T=2, N=2))
+        B = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 2))
+        sc = dataclasses.replace(sc, sys=LinearSystem(A=sc.sys.A, B=B))
+        if model == "huge_state":
+            sc = dataclasses.replace(sc, costs=HugeState())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "EVAL_CHUNK", chunk)
+            J, u = harness._grid_scan(sc, [axis] * 4)
+            J_full, u_full = full_scan(sc, [axis] * 4)
+        assert bits(J, u) == bits(J_full, u_full)

@@ -216,17 +216,51 @@ def test_every_full_window_a_new_record_falls_back_to_eigvalsh(counted_envelope)
 
 def test_tied_full_windows_fall_back_to_eigvalsh(counted_envelope):
     # time-invariant weights: every full window has the same value form, so
-    # each one after the first ties the running maximum exactly
+    # each one after the first ties the running maximum exactly, is never
+    # certified, and reuses the first full window's eigenvalues
     rng = np.random.default_rng(5)
     n, m, N, L = 3, 1, 4, 12
     costs = QuadraticCost(np.stack([pd_stack(rng, 1, n)[0]] * L),
                           np.stack([pd_stack(rng, 1, m)[0]] * L))
     sys = LinearSystem(A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
     upper, dense = counted_envelope(sys, costs, N)
-    assert set(range(L - N + 1)) <= set(dense)
+    assert len(set(range(L - N + 1)) & set(dense)) == 1
+    assert len(dense) == len(set(dense))
     gains = [g[1] for g in window_gains(sys, costs, N)]
     assert len(set(gains[:L - N + 1])) == 1
     assert upper == unscreened_upper(sys, costs, N)
+
+
+def test_time_invariant_weights_share_one_value_form(counted_envelope):
+    # the quadratic_scale size with one Q and one R for all 192 stages: the
+    # 145 full windows tie, so none is certified, and a window's weight
+    # slice is fixed by its horizon alone
+    sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
+                                        N=48, a_high=0.25))
+    L, N = sc.T, sc.N
+    costs = QuadraticCost(np.stack([sc.costs.Q_seq[0]] * L),
+                          np.stack([sc.costs.R_seq[0]] * L))
+    upper, dense = counted_envelope(sc.sys, costs, N)
+    assert upper == unscreened_upper(sc.sys, costs, N)
+    horizons = [min(N, L - t0) for t0 in dense]
+    assert len(horizons) == len(set(horizons))  # one form per distinct slice
+    assert horizons.count(N) == 1
+
+
+@pytest.mark.parametrize("alternating", ["Q", "R"])
+def test_windows_with_other_weights_get_their_own_form(counted_envelope, alternating):
+    # one of Q_t and R_t fixed, the other alternating between two matrices:
+    # full windows from even and from odd starts share only the fixed slices
+    rng = np.random.default_rng(6)
+    n, m, N, L = 3, 1, 4, 12
+    Q, R = pd_stack(rng, 2, n), pd_stack(rng, 2, m)
+    parity = np.arange(L) % 2
+    costs = QuadraticCost(Q[parity if alternating == "Q" else 0 * parity],
+                          R[parity if alternating == "R" else 0 * parity])
+    sys = LinearSystem(A=0.5 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+    upper, dense = counted_envelope(sys, costs, N)
+    assert upper == unscreened_upper(sys, costs, N)
+    assert sorted(t0 % 2 for t0 in dense if t0 <= L - N) == [0, 1]
 
 
 def test_screen_skips_most_w_block_eigvalsh(counted_envelope):
