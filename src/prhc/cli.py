@@ -40,9 +40,6 @@ COST_ALIASES = {"quad": "quadratic", "nonconvex": "nonconvex",
 M_RULES = {"half": "overlap", "standard": "standard"}  # --m-rule -> named policy
 AUDIT_SLACK_FLOOR = -1e-6
 RECHECK_REL_TOL = 1e-9
-# default of --sample-budget: parsed, validated and echoed into reports so
-# stored config files and reports keep loading; no number depends on it
-SAMPLE_BUDGET = 100
 
 
 def _parse_n_list(text) -> tuple:
@@ -54,20 +51,6 @@ def _parse_n_list(text) -> tuple:
     if not values:
         raise argparse.ArgumentTypeError(f"N list must not be empty, got {text!r}")
     return values
-
-
-def _parse_sample_budget(text) -> int:
-    """The sample budget of every command, from a flag or a config file: an
-    integer >= 1, the same rule a stored JSON report's config obeys. It
-    affects no number."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"sample_budget must be an integer >= 1, got {text!r}")
-    return value
 
 
 # option name -> (coercion from config-file string, built-in default)
@@ -82,7 +65,7 @@ _OPTION_SPEC = {
     "m_rule": (str, "half"),
     "out": (str, None),
     "format": (str, "csv"),
-    "sample_budget": (_parse_sample_budget, SAMPLE_BUDGET),
+    "sample_budget": (str, None),  # known so older config files load; unread
     "iters": (int, 10),
     "N_list": (_parse_n_list, (6, 9)),
     "grid_res": (float, 1e-3),
@@ -156,7 +139,7 @@ def _emit(report: ExperimentReport, fmt: str, out) -> None:
 
 def _cmd_run(args) -> int:
     opts = _resolve(args, ("seed", "cost", "n", "m", "T", "N", "M", "m_rule",
-                           "out", "format", "sample_budget"))
+                           "out", "format"))
     kind = _cost_kind(opts["cost"])
     policy, M = _pick_policy(opts["N"], opts["M"], opts["m_rule"])
     cfg = ScenarioConfig(cost_kind=kind, n=opts["n"], m=opts["m"],
@@ -168,7 +151,7 @@ def _cmd_run(args) -> int:
         config={
             "command": "run", "seed": opts["seed"], "cost": opts["cost"],
             "n": opts["n"], "m": opts["m"], "T": opts["T"], "N": opts["N"],
-            "M": M, "policy": policy, "sample_budget": opts["sample_budget"],
+            "M": M, "policy": policy,
         },
         rows=rows,
     )
@@ -177,12 +160,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    opts = _resolve(args, ("iters", "N_list", "n", "m", "T", "out", "format",
-                           "sample_budget"))
+    opts = _resolve(args, ("iters", "N_list", "n", "m", "T", "out", "format"))
     base = ScenarioConfig(n=opts["n"], m=opts["m"], T=opts["T"],
                           N=min(opts["N_list"]))
     report = run_table1(iters=opts["iters"], N_list=opts["N_list"], config=base)
-    report.config["sample_budget"] = opts["sample_budget"]
     _emit(report, opts["format"], opts["out"])
     print("aggregate disturbance gain (mean cost / mean energy):",
           file=sys.stderr)
@@ -314,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output path (default stdout)")
     run_p.add_argument("--format", choices=("csv", "json"),
                        help="output format (default csv)")
-    run_p.add_argument("--sample-budget", dest="sample_budget",
-                       type=_parse_sample_budget,
-                       help="accepted for compatibility; no effect")
     run_p.set_defaults(func=_cmd_run)
 
     t1_p = sub.add_parser("table1", help="full policy-comparison protocol")
@@ -329,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     t1_p.add_argument("--out", help="output path (default stdout)")
     t1_p.add_argument("--format", choices=("csv", "json"),
                       help="output format (default csv)")
-    t1_p.add_argument("--sample-budget", dest="sample_budget",
-                      type=_parse_sample_budget,
-                      help="accepted for compatibility; no effect")
     t1_p.add_argument("--config", help="key=value option file; flags win")
     t1_p.set_defaults(func=_cmd_table1)
 
@@ -339,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="replay a stored report and re-check bounds")
     cert_p.add_argument("--in", dest="infile", required=True,
                         help="stored report (csv or json)")
-    cert_p.add_argument("--sample-budget", dest="sample_budget",
-                        type=_parse_sample_budget,
-                        help="accepted for compatibility; no effect")
     cert_p.set_defaults(func=_cmd_certify)
 
     or_p = sub.add_parser("oracle",
@@ -357,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="recursion audit of a stored report")
     audit_p.add_argument("--in", dest="infile", required=True,
                          help="stored report (csv or json)")
-    audit_p.add_argument("--sample-budget", dest="sample_budget",
-                         type=_parse_sample_budget,
-                         help="accepted for compatibility; no effect")
     audit_p.set_defaults(func=_cmd_audit)
+
+    for p in (run_p, t1_p, cert_p, audit_p):
+        p.add_argument("--sample-budget", dest="sample_budget",
+                       help="accepted for compatibility and ignored")
     return parser
 
 

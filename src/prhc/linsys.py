@@ -234,10 +234,7 @@ def stack_dynamics(sys: LinearSystem, N: int) -> StackedDynamics:
     sd = sys._stack
     if sd is None or sd.N < N:
         sd = _build_stack(sys, N)
-        # stored only once complete, so no caller sees a partial stack; two
-        # threads racing on one system at worst build twice
-        if sys._stack is None or sys._stack.N < N:
-            object.__setattr__(sys, "_stack", sd)
+        object.__setattr__(sys, "_stack", sd)
     if sd.N == N:
         return sd
     n, m = sd.n, sd.m

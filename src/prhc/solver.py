@@ -24,7 +24,7 @@ __all__ = [
 STEP_INIT = 1.0        # first trial step of each line search
 STEP_SHRINK = 0.5      # backtracking factor
 ARMIJO_C = 1e-4        # sufficient-decrease constant
-STALL_STEP = 1e-20
+STALL_STEP = 1e-20     # smallest trial step; still bounds the search where f = 0
 MEMORY = 10            # L-BFGS curvature pairs kept
 
 
@@ -76,8 +76,11 @@ class SolverConfig:
 class HorizonSolution:
     """A window solve: its inputs, their window cost and how the solve ended.
 
-    converged means only that the final gradient has max|g| <= grad_tol (the
-    exact quadratic paths always set it). It does not tell a minimizer from
+    converged means the descent stopped normally: the final gradient has
+    max|g| <= grad_tol, or the line search's expected decrease step*|g'd|
+    fell to 4 eps |value|, the rounding of the value, where no step can
+    show a decrease. A stop at max_iters reads False. The exact
+    quadratic paths always set it. It does not tell a minimizer from
     another stationary point: on a custom non-convex model such as the
     double well (u - 1)^2 (u + 2)^2, the descent from u0 = -3 stops at the
     local maximum u = -1/2 with value 5.0625, against a window minimum of
@@ -173,6 +176,7 @@ def _descend(p, u0, cfg):
     f, g = evaluate(u, 0)
     s_list, y_list = [], []
     iterations = 0
+    at_floor = False
     for it in range(1, cfg.max_iters + 1):
         if _max_abs(g) <= cfg.grad_tol:
             break
@@ -182,8 +186,11 @@ def _descend(p, u0, cfg):
             d = -g
             gd = -float(g @ g)
         step = STEP_INIT
+        floor = 4.0 * np.finfo(float).eps * abs(f)  # roundoff in f
         accepted = False
-        while step >= STALL_STEP:
+        # the floor is on the expected decrease step*|g'd|, not on the Armijo
+        # demand, which is ARMIJO_C times smaller and would stop far too early
+        while step >= STALL_STEP and -step * gd > floor:
             u_new = u + step * d
             f_new, g_new = evaluate(u_new, it)
             if f_new <= f + ARMIJO_C * step * gd:
@@ -191,7 +198,12 @@ def _descend(p, u0, cfg):
                 break
             step *= STEP_SHRINK
         if not accepted:
-            break  # no decrease representable; f is numerically stationary
+            # below the floor no decrease of f can show through its
+            # rounding: f is numerically stationary, a normal stop. A step
+            # below STALL_STEP with the expected decrease still above the
+            # floor (as where f = 0) is not
+            at_floor = -step * gd <= floor
+            break
         s = u_new - u
         y = g_new - g
         sy = float(s @ y)
@@ -203,7 +215,7 @@ def _descend(p, u0, cfg):
                 y_list.pop(0)
         u, f, g = u_new, f_new, g_new
         iterations = it
-    return u, f, iterations, _max_abs(g) <= cfg.grad_tol
+    return u, f, iterations, at_floor or _max_abs(g) <= cfg.grad_tol
 
 
 def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None,

@@ -250,6 +250,22 @@ class TestSolveGeneral:
         assert sol.value == 0.0
         assert sol.converged
 
+    def test_roundoff_floor_is_a_normal_stop(self):
+        # with grad_tol out of reach the descent can end only where the line
+        # search's expected decrease falls to the rounding of the value
+        sys = LinearSystem(A=[[0.4, 0.0], [0.2, 0.3]], B=[[1.0], [0.0]])
+        p = make_problem(sys, NonConvexCost(), [0.8, 0.4], [[0.1, 0.0], [0.0, 0.1]])
+        sol = solve_general(p, SolverConfig(grad_tol=1e-300))
+        assert sol.converged
+        assert 0 < sol.iterations < SolverConfig().max_iters
+        assert sol.value == pytest.approx(solve_general(p).value, rel=1e-12)
+
+    def test_max_iters_stop_is_not_converged(self):
+        sys = LinearSystem(A=[[0.4, 0.0], [0.2, 0.3]], B=[[1.0], [0.0]])
+        p = make_problem(sys, NonConvexCost(), [0.8, 0.4], [[0.1, 0.0], [0.0, 0.1]])
+        sol = solve_general(p, SolverConfig(max_iters=1))
+        assert sol.iterations == 1 and not sol.converged
+
     @pytest.mark.parametrize("kind", ["nonconvex", "set_distance"])
     def test_value_equals_objective_at_returned_inputs(self, kind):
         # the value is the descent's own cost, bit for bit the window
