@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import LinearSystem, StackedDynamics, Trajectory, stack_dynamics
+from .linsys import LinearSystem, Trajectory
 
 __all__ = [
     "CostModel",
@@ -45,10 +45,10 @@ __all__ = [
 W_LOW = 0.0
 W_HIGH = 1.0
 # relative slack of the exact envelope's sweep screens. The LQR sweep and the
-# dense value form are two float64 evaluations of the same window constants;
-# they disagree by up to 1.0e-9 relative at quadratic_scale seed 4
-# (rho(A) = 1.157), where the dense form's K - Y'Y cancels, and by under
-# 1e-12 at seeds 0-9 otherwise. A window gets the dense form for alpha_hi when
+# dense value form are two float64 evaluations of the same window constants
+# on the same Riccati stage; over all windows of quadratic_scale seeds 0-9
+# their lambda_max(P_xx) agree bit for bit and their cross terms to 3.3e-16
+# relative. A window gets the dense form for alpha_hi when
 # its sweep value is within this fraction of the sweep maximum, and is
 # excluded from gamma_bar_sq only below a level this fraction under the
 # running maximum less its cross term. The game sweep certifies a window at
@@ -371,71 +371,40 @@ def estimate_alpha_lower(costs: CostModel) -> float:
     return float(np.linalg.eigvalsh(costs.Q_seq)[:, 0].min())
 
 
-def _condensed_qp(sd: StackedDynamics, costs: QuadraticCost, t0: int):
-    """(G'Qbar, G'Qbar G + Rbar) of the window from stage t0, where Qbar and
-    Rbar are the block-diagonal stage weights over the steps of sd.
-
-    Assembled block by block; neither weight matrix is formed densely. The
-    window solve uses both; the window value form only the normal matrix.
-    """
-    n, m, N = sd.n, sd.m, sd.N
-    G_rows = sd.G.reshape(N, n, m * N).transpose(0, 2, 1)   # block k: G_k'
-    GtQ = (G_rows @ costs.Q_seq[t0:t0 + N]).transpose(1, 0, 2).reshape(m * N, n * N)
-    normal = GtQ @ sd.G
-    k = np.arange(N)
-    normal.reshape(N, m, N, m)[k, :, k, :] += costs.R_seq[t0:t0 + N]  # + Rbar
-    return GtQ, normal
-
-
 def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horizon: int):
     """Symmetric P with V_{t0}(x, w) = [x; w]' P [x; w] for the quadratic model.
 
-    w stacks the `horizon` previewed disturbance vectors of the window. P is
-    exactly symmetric; a normal matrix without a Cholesky factor raises
-    ValueError naming the window start.
+    w stacks the `horizon` previewed disturbance vectors of the window. P
+    comes from one backward sweep of _riccati_step over the window's h
+    stages from Lam_h = 0. The cost-to-go from offset k has the linear term
+    x_k' Gam_k w_{k:} with Gam_k = [Lam_{k+1}, S_{k+1}] and S_k = A_cl,k' Gam_k,
+    so block row j of P (x, then w_0..w_{h-1}), from block column j on, is
+    [Lam_j, S_j]. Minimizing stage k takes V_k'V_k off the w-block, with
+    V_k = L_k^-1 B' Gam_k for U_k = L_k L_k': P_ww is the mirrored block
+    upper triangle less V'V, for V stacking the V_k. Each block is written
+    with its transpose and V'V is one product of V' with V, so P is exactly
+    symmetric. A U_k without a Cholesky factor raises ValueError naming t0.
     """
     costs.check_horizon(t0, horizon)
-    return _value_form(sys, stack_dynamics(sys, horizon), costs, t0)
-
-
-def _value_form(sys: LinearSystem, sd: StackedDynamics, costs: QuadraticCost, t0: int):
-    """P = K - Y'Y, the window value form, with K = S'Qbar S for S = [F, H]
-    and Y = L_c^-1 G'Qbar S, where normal = L_c L_c'.
-
-    Input block c of S (x, then w_0..w_{N-1}) first reaches the window state
-    at offset c, so K's block (a, b) with a <= b is (A^(b-a))' Lam_b, from the
-    backward Lyapunov sums Lam_s = Q_s + A' Lam_{s+1} A with Lam_N = 0.
-    G = H (I kron B), so G'Qbar S is B' times each block row of K's w-rows.
-    Each Lam_s is symmetrized, each off-diagonal block of K is written with
-    its transpose, and Y'Y is one product of Y' with its own transpose,
-    which numpy evaluates symmetrically, so P is exactly symmetric.
-    """
     A, B = sys.A, sys.B
-    n, N = sd.n, sd.N
-    Q = costs.Q_seq[t0:t0 + N]
-    # [A^(N-1), ..., A^1, A^0] side by side: block row b of K, up to its
-    # diagonal, is Lam_b times the last b + 1 of them
-    powers = sd.F.reshape(N, n, n)[::-1].transpose(1, 0, 2).reshape(n, n * N)
-    C = n * (N + 1)
-    P = np.zeros((C, C))
-    lam = np.zeros((n, n))
-    for b in range(N - 1, -1, -1):
-        lam = Q[b] + A.T @ lam @ A
-        lam += lam.T
-        lam *= 0.5
-        row = lam @ powers[:, (N - 1 - b) * n:]
-        P[b * n:(b + 1) * n, :(b + 1) * n] = row
-        P[:(b + 1) * n, b * n:(b + 1) * n] = row.T
-    _, normal = _condensed_qp(sd, costs, t0)
-    try:
-        L_c = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"normal matrix of the window from start {t0} is singular: {exc}") from exc
-    # (G'Qbar S)' = K's w-columns times B per block, as K is symmetric
-    GtQS_T = (P.reshape(-1, n) @ B).reshape(C, N + 1, -1)[:, 1:].reshape(C, -1)
-    Yt = GtQS_T @ np.linalg.inv(L_c).T
-    P -= Yt @ Yt.T
+    n, m, h = sys.n, sys.m, horizon
+    P = np.zeros((n * (h + 1),) * 2)
+    BtG = np.zeros((h, m, n * h))  # B' Gam_k, from w-column block k on
+    U = np.empty((h, m, m))
+    lam = np.zeros((1, n, n))
+    for k in range(h - 1, -1, -1):
+        i, j = n * k, n * (k + 1)
+        gam = P[j:j + n, j:]
+        BtG[k, :, i:] = B.T @ gam
+        U[k:k + 1], _, Acl, lam = _riccati_step(
+            A, B, costs.Q_seq[t0 + k:t0 + k + 1], costs.R_seq[t0 + k:t0 + k + 1],
+            lam, (t0,))
+        S = Acl[0].T @ gam
+        P[i:j, i:j] = lam[0]
+        P[i:j, j:] = S
+        P[j:, i:j] = S.T
+    V = (np.linalg.inv(np.linalg.cholesky(U)) @ BtG).reshape(m * h, n * h)
+    P[n:, n:] -= V.T @ V
     return P
 
 
@@ -456,7 +425,8 @@ def _has_cholesky(S):
 def _riccati_step(A, B, Q, R, Lam, starts):
     """One backward LQR stage on a stack of windows: (U, K, A_cl, Lam_k).
 
-    With Lam = Lam_{k+1} and the stage weights Q, R of each window,
+    The LQR sweep, the window value form and the window laws all step
+    with it. With Lam = Lam_{k+1} and the stage weights Q, R of each window,
     U = R + B'Lam B, K = U^-1 B'Lam A, A_cl = A - B K and
     Lam_k = Q + K'R K + A_cl'Lam A_cl (the Joseph form), a sum of PSD terms
     with no cancellation, symmetrized. The normal matrix of a window is
@@ -561,7 +531,8 @@ def _game_certifies(sys, costs, N, starts, c):
 
 def _exact_quadratic_upper(sys, costs, N):
     """(alpha_hi, gamma_bar_sq) of the quadratic model, bit for bit the maxima
-    over every window start of eigvalsh on its dense value form.
+    over every window start of eigvalsh on its dense value form
+    (quadratic_value_form).
 
     The LQR sweep gives every window's lambda_max(P_xx) plus cross term.
     For gamma_bar_sq, the window with the largest cross term among those
@@ -591,15 +562,15 @@ def _exact_quadratic_upper(sys, costs, N):
             if (Q[s:s + h].tobytes() == Q[t0:t0 + h].tobytes()
                     and R[s:s + h].tobytes() == R[t0:t0 + h].tobytes()):
                 return found
-        P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
+        P = quadratic_value_form(sys, costs, t0, h)
         if not np.isfinite(P).all():
             raise ValueError(f"value form of the window from start {t0} is not finite")
         cr = float(np.linalg.norm(P[:n, n:], 2))
         top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
         gamma = None
         if with_gamma:
-            # H's last block column is zero, and so are the last block row and
-            # column of the w-block; they add only a zero eigenvalue
+            # w_{h-1} reaches no costed state, so the w-block's last block
+            # row and column are zero; they add only a zero eigenvalue
             gamma = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)) + cr
         built.setdefault(h, []).append((t0, (top_x + cr, gamma)))
         return top_x + cr, gamma
@@ -634,10 +605,11 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> t
     value form: an LQR sweep gives every window's lambda_max(P_xx) and cross
     term, and a game sweep certifies c*I - P_ww positive definite by
     Cholesky tests of its stage pivots' Schur complements. Only the windows
-    the sweeps cannot exclude get the dense form and eigenvalues, so both
-    constants equal those of eigenvalues on every window. A non-finite
-    sweep or value form, or a normal matrix without a Cholesky factor,
-    raises ValueError naming its window start.
+    the sweeps cannot exclude get the dense form, from one more Riccati
+    sweep over the window, and eigenvalues, so both constants equal those
+    of eigenvalues on every window. A non-finite sweep or value form, or a
+    stage pivot without a Cholesky factor, raises ValueError naming its
+    window start.
     Any other model raises ValueError naming its class. For the shipped
     non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
     x* with sigma(x*) = 0.

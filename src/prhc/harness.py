@@ -377,11 +377,10 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     doubles per row and state coordinate, stay within a pair block's
     (1 + n) * EVAL_CHUNK doubles. A tall block with a non-finite value at
     the input terms' first argmin is scanned in full in its pair blocks, in
-    order, so NaN errors, inf handling and ties are the full scan's. With
-    several column blocks a row block is one row tall, and each (row,
-    column block) takes the shortcut alone. Models that define only eval
-    get the full scan, which is the reference: the shortcut returns the
-    same (J, u) bits.
+    order, so NaN errors, inf handling and ties are the full scan's. A last
+    stage with several column blocks (more than EVAL_CHUNK inputs), and
+    models that define only eval, get the full scan, which is the
+    reference: the shortcut returns the same (J, u) bits.
     Returns (J, u) with u the flat point of length T*m.
     """
     T, m, n = sc.T, sc.sys.m, sc.sys.n
@@ -400,18 +399,17 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         size = min(rows, size) * cols
         vals_buf.append(np.empty(size))
     x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
-    # a separable model's last-stage input terms per column block, with their
-    # first argmin, where all of them are finite; tall is the last stage's
-    # tall row-block height, 0 where it keeps its pair blocks
-    g_last = {}
+    # a separable model's last-stage input terms, with their first argmin,
+    # where the inputs fit one column block and all their terms are finite;
+    # tall is the last stage's tall row-block height, 0 where it keeps its
+    # pair blocks
+    g_last = None
     tall = 0
-    if isinstance(costs, SeparableCost):
-        u_last, (rows, cols) = inputs[-1], blocks[-1]
-        for k0 in range(0, len(u_last), cols):
-            g = costs.input_cost(T - 1, u_last[None, k0:k0 + cols, :])[0]
-            if np.isfinite(g).all():
-                g_last[k0] = (g, int(np.argmin(g)))
-        if cols == len(u_last) and g_last:
+    u_last, (rows, cols) = inputs[-1], blocks[-1]
+    if isinstance(costs, SeparableCost) and cols == len(u_last):
+        g = costs.input_cost(T - 1, u_last[None])[0]
+        if np.isfinite(g).all():
+            g_last = (g, int(np.argmin(g)))
             tall = max(1, EVAL_CHUNK // 8 // rows) * rows
 
     def scan(t, x, c):
@@ -424,7 +422,7 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         while r0 < len(c):
             if last and tall and r0 % tall == 0:
                 found = _separable_min(costs, t, x[r0:r0 + tall], c[r0:r0 + tall],
-                                       *g_last[0], best[0])
+                                       *g_last, best[0])
                 if found is not None:
                     val, flat = found
                     if val < best[0]:
@@ -438,18 +436,13 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
                 xA = (xb @ A_T)[:, None, :]
             for k0 in range(0, len(u), cols):
                 ub = u[k0:k0 + cols]
-                found = (_separable_min(costs, t, xb, cb, *g_last[k0], best[0])
-                         if last and not tall and k0 in g_last else None)
-                if found is None:
-                    pairs = len(cb) * len(ub)
-                    vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
-                    np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
-                           out=vals)
+                pairs = len(cb) * len(ub)
+                vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
+                np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
+                       out=vals)
                 if last:
-                    if found is None:
-                        flat = int(np.argmin(vals))
-                        found = float(vals.flat[flat]), flat
-                    (val, flat), path = found, []
+                    flat = int(np.argmin(vals))
+                    val, path = float(vals.flat[flat]), []
                 else:
                     x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
                     np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)

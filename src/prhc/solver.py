@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost, _condensed_qp, _riccati_step, _stage_costs
+from .costs import CostModel, QuadraticCost, _riccati_step, _stage_costs
 from .linsys import DisturbanceSequence, LinearSystem, _propagate, stack_dynamics
 
 __all__ = [
@@ -243,12 +243,17 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None,
 
 def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     """Exact window minimizer from the stacked normal equations
-    (G'QG + R) u = -G'Q (F x0 + H w)."""
+    (G'QG + R) u = -G'Q (F x0 + H w), assembled block by block: neither
+    block-diagonal stage weight matrix is formed densely."""
     if not isinstance(p.costs, QuadraticCost):
         raise ValueError("solve_quadratic requires a quadratic cost model")
-    m, N = p.sys.m, p.N
+    n, m, N, t0 = p.sys.n, p.sys.m, p.N, p.t0
     sd = stack_dynamics(p.sys, N)
-    GtQ, normal = _condensed_qp(sd, p.costs, p.t0)
+    G_rows = sd.G.reshape(N, n, m * N).transpose(0, 2, 1)   # block k: G_k'
+    GtQ = (G_rows @ p.costs.Q_seq[t0:t0 + N]).transpose(1, 0, 2).reshape(m * N, n * N)
+    normal = GtQ @ sd.G
+    k = np.arange(N)
+    normal.reshape(N, m, N, m)[k, :, k, :] += p.costs.R_seq[t0:t0 + N]
     free = sd.F @ p.x0 + sd.H @ p.w_preview.w.ravel()
     try:
         u_flat = np.linalg.solve(normal, -GtQ @ free)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from prhc.harness import Scenario, ScenarioConfig
+from prhc.linsys import StackedDynamics
 from prhc.policy import RunResult
 from prhc.solver import HorizonSolution
 
@@ -45,6 +46,7 @@ def test_worker_count_resolves():
     (Scenario, ("seed", "cost_kind", "sys", "costs", "w_full", "x1", "T", "N",
                 "policies")),
     (ScenarioConfig, ("cost_kind", "n", "m", "T", "N", "a_high")),
+    (StackedDynamics, ("F", "G", "H")),
 ])
 def test_fields_read_by_the_benchmark_exist(cls, names):
     fields = {f.name for f in dataclasses.fields(cls)}

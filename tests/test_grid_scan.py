@@ -296,8 +296,8 @@ def test_non_finite_state_term_in_a_later_tall_block(tall_blocks, value):
 @pytest.mark.parametrize("model", ["scenario", "huge_state"])
 def test_m2_with_several_column_blocks(model, chunk):
     # 36 inputs per stage in column blocks of `chunk`: the last stage keeps
-    # one-row blocks, each column block taking the shortcut alone, and the
-    # mirrored axes and HugeState make input terms tie across column blocks
+    # one-row blocks and the full scan, and the mirrored axes and HugeState
+    # make input terms tie across column blocks
     axis = np.array([-1.5, -0.5, 0.25, 0.5, 1.5, -0.25])
     for seed in range(4):
         sc = gen_scenario(seed, ScenarioConfig(cost_kind=COST_KINDS[seed % 3], n=2,

@@ -220,13 +220,12 @@ class TestRunComparison:
         for r in rows:
             assert r.gain == pytest.approx(r.J / r.energy, rel=1e-12)
 
-    def test_quadratic_run_builds_one_stack(self, stack_builds):
-        # the exact envelope's dense value forms, tail windows included,
-        # share the system's one N-step stack; quadratic policy runs build none
+    def test_quadratic_run_builds_no_stack(self, stack_builds):
+        # the exact envelope's value forms come from Riccati sweeps, and
+        # quadratic policy runs from their law tables: neither stacks
         sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", T=30, N=6))
         run_comparison(sc)
-        assert len(stack_builds) == 1
-        assert stack_builds[0][0] is sc.sys and stack_builds[0][1] == 6
+        assert stack_builds == []
 
 
 class TestRunTable1:

@@ -1,7 +1,8 @@
 """Property tests of the exact quadratic envelope: the window value form built
-from backward Lyapunov sums against the dense formula, the LQR and game
-sweeps against the value form, and the screened envelope against an
-unscreened per-window eigenvalue reference."""
+by the backward Riccati sweep against the dense formula and against a
+long-double closed-loop Gram reference, the LQR and game sweeps against the
+value form, and the screened envelope against an unscreened per-window
+eigenvalue reference."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from prhc import costs as costs_mod  # noqa: E402
 from prhc.costs import (  # noqa: E402
     QuadraticCost,
-    _value_form,
     estimate_gamma_alpha_upper,
     quadratic_value_form,
 )
@@ -47,13 +47,13 @@ def system(rng, n, m, rho):
 
 
 @st.composite
-def windows(draw):
+def windows(draw, rhos=st.sampled_from([0.5, 0.95, 0.99, 1.0, 1.01])):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2))
     N = draw(st.integers(1, 16))
     L = N + draw(st.integers(0, 3))
     t0 = draw(st.integers(0, L - 1))  # past L - N the window is a tail, h < N
-    rho = draw(st.sampled_from([0.5, 0.95, 0.99, 1.0, 1.01]))
+    rho = draw(rhos)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     sys = system(rng, n, m, rho)
     costs = QuadraticCost(pd_stack(rng, L, n), pd_stack(rng, L, m))
@@ -64,8 +64,7 @@ def windows(draw):
 @given(windows())
 def test_value_form_matches_dense_formula(window):
     sys, costs, N, t0, h = window
-    stack_dynamics(sys, N)  # a tail window is then served from this stack
-    P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
+    P = quadratic_value_form(sys, costs, t0, h)
     ref = dense_value_form(stack_dynamics(LinearSystem(A=sys.A, B=sys.B), h), costs, t0)
     assert P.shape == ref.shape == (sys.n * (h + 1),) * 2
     np.testing.assert_array_equal(P, P.T)
@@ -74,16 +73,99 @@ def test_value_form_matches_dense_formula(window):
 
 def test_value_form_matches_dense_formula_at_benchmark_size():
     # the quadratic_scale scenario size, on a seed whose A has spectral radius
-    # above 1, so the Lyapunov sums over 48 stages grow along the window
+    # above 1, so the window form grows along its 48 stages
     sc = gen_scenario(1, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
                                         N=48, a_high=0.25))
     assert np.max(np.abs(np.linalg.eigvals(sc.sys.A))) >= 1.0
     for t0 in (0, 97, 144, 170, 191):  # full windows, then tails of 22 and 1 steps
         h = min(sc.N, sc.T - t0)
-        P = _value_form(sc.sys, stack_dynamics(sc.sys, h), sc.costs, t0)
+        P = quadratic_value_form(sc.sys, sc.costs, t0, h)
         ref = dense_value_form(stack_dynamics(sc.sys, h), sc.costs, t0)
         np.testing.assert_array_equal(P, P.T)
         assert np.max(np.abs(P - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def solve_pivots(U, X):
+    """U^-1 X for a positive-definite U of order 1 or 2, by explicit pivots
+    (numpy's linalg has no long-double solve)."""
+    if U.shape[0] == 1:
+        return X / U[0, 0]
+    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+    adj = np.array([[U[1, 1], -U[0, 1]], [-U[1, 0], U[0, 0]]], dtype=U.dtype)
+    return adj @ X / det
+
+
+def gram_value_form(sys, costs, t0, h):
+    """The window value form as the closed-loop Gram sum
+    sum_k X_k'Q_k X_k + U_k'R_k U_k, all in long double, where x_k = X_k z
+    and u_k = U_k z on the optimal trajectory from z = [x; w].
+
+    The optimal laws u_k = -K_k x_k - F_k z come from a backward Riccati
+    sweep from Lam_h = 0, with E the coefficient of z in the cost-to-go's
+    linear term: U = R + B'Lam B, Gam = Lam J_k + E for J_k the selector of
+    w_k, K = U^-1 B'Lam A, F = U^-1 B'Gam, E = (A - B K)'Gam. A sum of PSD
+    terms has no cancellation, and an error in the laws moves the value only
+    to second order."""
+    ld = np.longdouble
+    A, B = sys.A.astype(ld), sys.B.astype(ld)
+    n, C = sys.n, sys.n * (h + 1)
+    Q = costs.Q_seq[t0:t0 + h].astype(ld)
+    R = costs.R_seq[t0:t0 + h].astype(ld)
+    J = np.zeros((h, n, C), dtype=ld)  # z -> w_k
+    for k in range(h):
+        J[k, :, n * (k + 1):n * (k + 2)] = np.eye(n)
+    lam = np.zeros((n, n), dtype=ld)
+    E = np.zeros((n, C), dtype=ld)
+    laws = [None] * h
+    for k in range(h - 1, -1, -1):
+        U = R[k] + B.T @ lam @ B
+        Gam = lam @ J[k] + E
+        K = solve_pivots(U, B.T @ lam @ A)
+        Acl = A - B @ K
+        laws[k] = (K, solve_pivots(U, B.T @ Gam))
+        E = Acl.T @ Gam
+        lam = Q[k] + K.T @ R[k] @ K + Acl.T @ lam @ Acl
+        lam = 0.5 * (lam + lam.T)
+    X = np.zeros((n, C), dtype=ld)
+    X[:, :n] = np.eye(n)
+    P = np.zeros((C, C), dtype=ld)
+    for k, (K, F) in enumerate(laws):
+        Uz = -K @ X - F
+        P += X.T @ Q[k] @ X + Uz.T @ R[k] @ Uz
+        X = A @ X + B @ Uz + J[k]
+    return P
+
+
+def assert_matches_gram(sys, costs, t0, h):
+    P = quadratic_value_form(sys, costs, t0, h)
+    ref = gram_value_form(sys, costs, t0, h)
+    np.testing.assert_array_equal(P, P.T)
+    assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def steep_window():
+    """A full 16-step window of n = 4, m = 2 with spectral radius 1.2."""
+    rng = np.random.default_rng(3)
+    sys = system(rng, 4, 2, 1.2)
+    return sys, QuadraticCost(pd_stack(rng, 16, 4), pd_stack(rng, 16, 2)), 16, 0, 16
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(windows(rhos=st.floats(1.0, 1.2)))
+@example(steep_window())
+def test_value_form_matches_long_double_gram_form(window):
+    # spectral radius of A in [1, 1.2]: the forms grow along the window,
+    # where a difference of large terms would lose digits
+    sys, costs, _, t0, h = window
+    assert_matches_gram(sys, costs, t0, h)
+
+
+@pytest.mark.parametrize("t0", [0, 97])
+def test_value_form_matches_long_double_gram_form_at_benchmark_size(t0):
+    # quadratic_scale seed 4, whose A has spectral radius 1.157, on full windows
+    sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
+                                        N=48, a_high=0.25))
+    assert_matches_gram(sc.sys, sc.costs, t0, sc.N)
 
 
 def window_gains(sys, costs, N):
@@ -93,7 +175,7 @@ def window_gains(sys, costs, N):
     gains = []
     for t0 in range(costs.length):
         h = min(N, costs.length - t0)
-        P = _value_form(sys, stack_dynamics(sys, h), costs, t0)
+        P = quadratic_value_form(sys, costs, t0, h)
         cross = float(np.linalg.norm(P[:n, n:], 2))
         lam_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
         lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
@@ -111,13 +193,13 @@ def counted_envelope(monkeypatch):
     """estimate_gamma_alpha_upper that also returns the window starts whose
     value form it evaluated densely."""
     starts = []
-    real = costs_mod._value_form
+    real = costs_mod.quadratic_value_form
 
-    def counting(sys, sd, costs, t0):
+    def counting(sys, costs, t0, h):
         starts.append(t0)
-        return real(sys, sd, costs, t0)
+        return real(sys, costs, t0, h)
 
-    monkeypatch.setattr(costs_mod, "_value_form", counting)
+    monkeypatch.setattr(costs_mod, "quadratic_value_form", counting)
 
     def run(sys, costs, N):
         starts.clear()
@@ -165,35 +247,47 @@ def growing_case():
     return system(rng, 3, 2, 1.15), QuadraticCost(pd_stack(rng, L, 3), pd_stack(rng, L, 2)), N
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(sweep_cases())
-@example(growing_case())
-def test_sweeps_agree_with_the_value_form(case):
-    # the LQR sweep's lambda_max(P_xx) and cross term against the value form,
-    # and the game sweep's screen at levels below and above each window's
-    # lambda_max(P_ww), down to 1e-7 relative: it must never certify a level
-    # at or below it
-    sys, costs, N = case
+def assert_sweeps_agree(sys, costs, N, starts):
+    # the LQR sweep's lambda_max(P_xx) and cross term against the value form
+    # to 1e-13 relative, and the game sweep's screen at levels below and
+    # above each window's lambda_max(P_ww), down to 1e-7 relative: it must
+    # never certify a level at or below it
     n, L = sys.n, costs.length
-    starts = np.arange(L)
     lam_x, cross = costs_mod._lqr_sweep(sys, costs, N)
-    lam_w = np.empty(L)
-    for t0 in starts:
+    lam_w = np.empty(len(starts))
+    for i, t0 in enumerate(starts):
         h = min(N, L - t0)
         P = quadratic_value_form(sys, costs, t0, h)
         ref_x = np.linalg.eigvalsh(P[:n, :n]).max()
         ref_cross = np.linalg.norm(P[:n, n:], 2)
-        assert abs(lam_x[t0] - ref_x) <= 1e-9 * ref_x
-        assert abs(cross[t0] - ref_cross) <= 1e-9 * max(ref_cross, ref_x)
-        lam_w[t0] = np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)
+        assert abs(lam_x[t0] - ref_x) <= 1e-13 * ref_x
+        assert abs(cross[t0] - ref_cross) <= 1e-13 * max(ref_cross, ref_x)
+        lam_w[i] = np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)
     for r in (0.9, 0.999999, 1 - 1e-7, 1 + 1e-7, 1.000001, 1.1):
         c = r * lam_w
         certified = costs_mod._game_certifies(sys, costs, N, starts, c)
         assert not np.any(certified & (lam_w >= c))
     # one level for all windows, between two of their lambda_max(P_ww)
-    c = np.full(L, np.median(lam_w))
+    c = np.full(len(starts), np.median(lam_w))
     certified = costs_mod._game_certifies(sys, costs, N, starts, c)
     assert not np.any(certified & (lam_w >= c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sweep_cases())
+@example(growing_case())
+def test_sweeps_agree_with_the_value_form(case):
+    sys, costs, N = case
+    assert_sweeps_agree(sys, costs, N, np.arange(costs.length))
+
+
+def test_sweeps_agree_with_the_value_form_at_benchmark_size():
+    # quadratic_scale seed 4, whose A has spectral radius 1.157: every 11th
+    # start, full windows and tails of 38 down to 5 steps
+    sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
+                                        N=48, a_high=0.25))
+    assert np.max(np.abs(np.linalg.eigvals(sc.sys.A))) > 1.15
+    assert_sweeps_agree(sc.sys, sc.costs, sc.N, np.arange(0, sc.T, 11))
 
 
 def test_every_full_window_a_new_record_falls_back_to_eigvalsh(counted_envelope):
@@ -283,10 +377,10 @@ def sweep_only(counted_envelope, monkeypatch):
     _, dense = counted_envelope(sc.sys, sc.costs, sc.N)
     assert dense and 0 not in dense
 
-    def forbidden(sys, sd, costs, t0):
+    def forbidden(sys, costs, t0, h):
         pytest.fail(f"the dense value form of start {t0} was evaluated")
 
-    monkeypatch.setattr(costs_mod, "_value_form", forbidden)
+    monkeypatch.setattr(costs_mod, "quadratic_value_form", forbidden)
     return sc
 
 
@@ -320,18 +414,18 @@ def test_alpha_only_window_gets_no_w_block_eigvalsh(monkeypatch):
     swept = lam_x + cross
     near = set(np.flatnonzero(swept >= swept.max() * (1.0 - costs_mod.SCREEN_MARGIN)))
     dense, w_solved = [], []
-    real_form, real_eigvalsh = costs_mod._value_form, np.linalg.eigvalsh
+    real_form, real_eigvalsh = costs_mod.quadratic_value_form, np.linalg.eigvalsh
 
-    def form(sys, sd, costs, t0):
+    def form(sys, costs, t0, h):
         dense.append(t0)
-        return real_form(sys, sd, costs, t0)
+        return real_form(sys, costs, t0, h)
 
     def eigvalsh(a, *args, **kwargs):
         if a.shape[-1] > n:  # x-blocks and the sweeps' stacks are n x n
             w_solved.append(dense[-1])
         return real_eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(costs_mod, "_value_form", form)
+    monkeypatch.setattr(costs_mod, "quadratic_value_form", form)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     upper = costs_mod._exact_quadratic_upper(sc.sys, sc.costs, sc.N)
     monkeypatch.undo()
