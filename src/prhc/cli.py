@@ -2,8 +2,10 @@
 re-checking stored reports, the brute-force oracle, and the recursion audit.
 
 Options may come from a flat key=value config file (one option per line,
-`#` starts a comment, keys match the long flag names); explicit command-line
-flags override file values, which override built-in defaults.
+`#` starts a comment, keys match the long flag names). File values become
+the command parser's defaults, so argparse converts and checks them as it
+does flags; explicit command-line flags override them, and they override
+the built-in defaults that each `add_argument` declares.
 """
 
 from __future__ import annotations
@@ -42,36 +44,15 @@ AUDIT_SLACK_FLOOR = -1e-6
 RECHECK_REL_TOL = 1e-9
 
 
-def _parse_n_list(text) -> tuple:
+def _parse_n_list(text: str) -> tuple:
     try:
-        values = tuple(int(part) for part in str(text).split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"N list must be comma-separated integers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"N list must not be empty, got {text!r}")
     return values
-
-
-# option name -> (coercion from config-file string, built-in default)
-_OPTION_SPEC = {
-    "seed": (int, 0),
-    "cost": (str, "quad"),
-    "n": (int, 2),
-    "m": (int, 1),
-    "T": (int, 15),
-    "N": (int, 6),
-    "M": (int, None),
-    "m_rule": (str, "half"),
-    "out": (str, None),
-    "format": (str, "csv"),
-    "sample_budget": (str, None),  # known so older config files load; unread
-    "iters": (int, 10),
-    "N_list": (_parse_n_list, (6, 9)),
-    "grid_res": (float, 1e-3),
-    "u_box": (float, 2.0),
-    "infile": (str, None),
-}
 
 
 def _read_config_file(path) -> dict:
@@ -90,26 +71,6 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, names) -> dict:
-    """Layer option sources: defaults, then config file, then CLI flags."""
-    file_vals = {}
-    if getattr(args, "config", None):
-        file_vals = _read_config_file(args.config)
-        unknown = set(file_vals) - set(_OPTION_SPEC)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    opts = {}
-    for name in names:
-        coerce, default = _OPTION_SPEC[name]
-        value = getattr(args, name, None)
-        if value is None and name in file_vals:
-            value = coerce(file_vals[name])
-        if value is None:
-            value = default
-        opts[name] = value
-    return opts
-
-
 def _cost_kind(alias: str) -> str:
     if alias not in COST_ALIASES:
         raise ValueError(
@@ -122,7 +83,6 @@ def _pick_policy(N: int, M, m_rule: str) -> tuple:
     """(label, M): an explicit M takes the first named policy it matches."""
     policies = default_policies(N)
     if M is not None:
-        M = int(M)
         return next((name for name, M_p in policies if M_p == M), "custom"), M
     if m_rule not in M_RULES:
         raise ValueError(f"m-rule must be half or standard, got {m_rule!r}")
@@ -138,33 +98,28 @@ def _emit(report: ExperimentReport, fmt: str, out) -> None:
 
 
 def _cmd_run(args) -> int:
-    opts = _resolve(args, ("seed", "cost", "n", "m", "T", "N", "M", "m_rule",
-                           "out", "format"))
-    kind = _cost_kind(opts["cost"])
-    policy, M = _pick_policy(opts["N"], opts["M"], opts["m_rule"])
-    cfg = ScenarioConfig(cost_kind=kind, n=opts["n"], m=opts["m"],
-                         T=opts["T"], N=opts["N"])
-    sc = gen_scenario(opts["seed"], cfg)
+    kind = _cost_kind(args.cost)
+    policy, M = _pick_policy(args.N, args.M, args.m_rule)
+    cfg = ScenarioConfig(cost_kind=kind, n=args.n, m=args.m, T=args.T, N=args.N)
+    sc = gen_scenario(args.seed, cfg)
     sc = dataclasses.replace(sc, policies=((policy, M),))
     rows = run_comparison(sc)
     report = ExperimentReport(
         config={
-            "command": "run", "seed": opts["seed"], "cost": opts["cost"],
-            "n": opts["n"], "m": opts["m"], "T": opts["T"], "N": opts["N"],
+            "command": "run", "seed": args.seed, "cost": args.cost,
+            "n": args.n, "m": args.m, "T": args.T, "N": args.N,
             "M": M, "policy": policy,
         },
         rows=rows,
     )
-    _emit(report, opts["format"], opts["out"])
+    _emit(report, args.format, args.out)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    opts = _resolve(args, ("iters", "N_list", "n", "m", "T", "out", "format"))
-    base = ScenarioConfig(n=opts["n"], m=opts["m"], T=opts["T"],
-                          N=min(opts["N_list"]))
-    report = run_table1(iters=opts["iters"], N_list=opts["N_list"], config=base)
-    _emit(report, opts["format"], opts["out"])
+    base = ScenarioConfig(n=args.n, m=args.m, T=args.T, N=min(args.N_list))
+    report = run_table1(iters=args.iters, N_list=args.N_list, config=base)
+    _emit(report, args.format, args.out)
     print("aggregate disturbance gain (mean cost / mean energy):",
           file=sys.stderr)
     finite = Counter((r.cost_kind, r.policy, r.N) for r in report.rows
@@ -251,12 +206,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    opts = _resolve(args, ("seed", "cost", "n", "m", "T", "grid_res", "u_box"))
-    kind = _cost_kind(opts["cost"])
-    cfg = ScenarioConfig(cost_kind=kind, n=opts["n"], m=opts["m"],
-                         T=opts["T"], N=opts["T"])  # full preview: one window
-    sc = gen_scenario(opts["seed"], cfg)
-    J_grid, u_star = brute_force_oracle(sc, opts["grid_res"], opts["u_box"])
+    kind = _cost_kind(args.cost)
+    cfg = ScenarioConfig(cost_kind=kind, n=args.n, m=args.m,
+                         T=args.T, N=args.T)  # full preview: one window
+    sc = gen_scenario(args.seed, cfg)
+    J_grid, u_star = brute_force_oracle(sc, args.grid_res, args.u_box)
     sched = build_schedule(sc.N, dict(sc.policies)["standard"], sc.T)
     res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
     diff = res.J - J_grid
@@ -267,82 +221,110 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """(parser, each command's parser by name, config-file keys).
+
+    The keys are the dests of every option of every command but --config;
+    a file may set any of them, and a command ignores the ones it lacks.
+    """
     parser = argparse.ArgumentParser(
         prog="prhc",
         description="Receding-horizon control with overlapping planning "
                     "windows: experiments, certificates, and audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    file_keys = set()
 
-    def add_scenario_flags(p, with_N=True):
-        p.add_argument("--seed", type=int, help="scenario seed (default 0)")
-        p.add_argument("--cost", choices=sorted(COST_ALIASES),
-                       help="cost family (default quad)")
-        p.add_argument("--n", type=int, help="state dimension (default 2)")
-        p.add_argument("--m", type=int, help="input dimension (default 1)")
-        p.add_argument("--T", type=int, help="task length (default 15)")
-        if with_N:
-            p.add_argument("--N", type=int, help="preview length (default 6)")
+    def command(name, func, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def option(p, *flags, **kwargs):
+        file_keys.add(p.add_argument(*flags, **kwargs).dest)
+
+    def add_dims(p):
+        # the commands that take sizes are the ones that take a config file
+        option(p, "--n", type=int, default=2,
+               help="state dimension (default %(default)s)")
+        option(p, "--m", type=int, default=1,
+               help="input dimension (default %(default)s)")
+        option(p, "--T", type=int, default=15,
+               help="task length (default %(default)s)")
         p.add_argument("--config", help="key=value option file; flags win")
 
-    run_p = sub.add_parser("run", help="run one scenario under one policy")
+    def add_scenario_flags(p):
+        option(p, "--seed", type=int, default=0,
+               help="scenario seed (default %(default)s)")
+        option(p, "--cost", choices=sorted(COST_ALIASES), default="quad",
+               help="cost family (default %(default)s)")
+        add_dims(p)
+
+    def add_output_flags(p):
+        option(p, "--out", help="output path (default stdout)")
+        option(p, "--format", choices=("csv", "json"), default="csv",
+               help="output format (default %(default)s)")
+
+    def add_infile(p):
+        option(p, "--in", dest="infile", required=True,
+               help="stored report (csv or json)")
+
+    run_p = command("run", _cmd_run, "run one scenario under one policy")
     add_scenario_flags(run_p)
-    run_p.add_argument("--M", type=int,
-                       help="explicit overlap; wins over --m-rule")
-    run_p.add_argument("--m-rule", dest="m_rule", choices=("half", "standard"),
-                       help="overlap rule when --M is absent (default half)")
-    run_p.add_argument("--out", help="output path (default stdout)")
-    run_p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (default csv)")
-    run_p.set_defaults(func=_cmd_run)
+    option(run_p, "--N", type=int, default=6,
+           help="preview length (default %(default)s)")
+    option(run_p, "--M", type=int, help="explicit overlap; wins over --m-rule")
+    option(run_p, "--m-rule", dest="m_rule", choices=sorted(M_RULES),
+           default="half",
+           help="overlap rule when --M is absent (default %(default)s)")
+    add_output_flags(run_p)
 
-    t1_p = sub.add_parser("table1", help="full policy-comparison protocol")
-    t1_p.add_argument("--iters", type=int, help="seeds per cell (default 10)")
-    t1_p.add_argument("--N-list", dest="N_list", type=_parse_n_list,
-                      help="comma-separated preview lengths (default 6,9)")
-    t1_p.add_argument("--n", type=int, help="state dimension (default 2)")
-    t1_p.add_argument("--m", type=int, help="input dimension (default 1)")
-    t1_p.add_argument("--T", type=int, help="task length (default 15)")
-    t1_p.add_argument("--out", help="output path (default stdout)")
-    t1_p.add_argument("--format", choices=("csv", "json"),
-                      help="output format (default csv)")
-    t1_p.add_argument("--config", help="key=value option file; flags win")
-    t1_p.set_defaults(func=_cmd_table1)
+    t1_p = command("table1", _cmd_table1, "full policy-comparison protocol")
+    option(t1_p, "--iters", type=int, default=10,
+           help="seeds per cell (default %(default)s)")
+    option(t1_p, "--N-list", dest="N_list", type=_parse_n_list, default="6,9",
+           help="comma-separated preview lengths (default %(default)s)")
+    add_dims(t1_p)
+    add_output_flags(t1_p)
 
-    cert_p = sub.add_parser("certify",
-                            help="replay a stored report and re-check bounds")
-    cert_p.add_argument("--in", dest="infile", required=True,
-                        help="stored report (csv or json)")
-    cert_p.set_defaults(func=_cmd_certify)
+    cert_p = command("certify", _cmd_certify,
+                     "replay a stored report and re-check bounds")
+    add_infile(cert_p)
 
-    or_p = sub.add_parser("oracle",
-                          help="brute-force grid check of the full-preview run")
-    add_scenario_flags(or_p, with_N=False)
-    or_p.add_argument("--grid-res", dest="grid_res", type=float,
-                      help="grid spacing (default 1e-3)")
-    or_p.add_argument("--u-box", dest="u_box", type=float,
-                      help="input box half-width (default 2.0)")
-    or_p.set_defaults(func=_cmd_oracle)
+    or_p = command("oracle", _cmd_oracle,
+                   "brute-force grid check of the full-preview run")
+    add_scenario_flags(or_p)
+    option(or_p, "--grid-res", dest="grid_res", type=float, default=1e-3,
+           help="grid spacing (default %(default)s)")
+    option(or_p, "--u-box", dest="u_box", type=float, default=2.0,
+           help="input box half-width (default %(default)s)")
 
-    audit_p = sub.add_parser("audit",
-                             help="recursion audit of a stored report")
-    audit_p.add_argument("--in", dest="infile", required=True,
-                         help="stored report (csv or json)")
-    audit_p.set_defaults(func=_cmd_audit)
+    audit_p = command("audit", _cmd_audit, "recursion audit of a stored report")
+    add_infile(audit_p)
 
     for p in (run_p, t1_p, cert_p, audit_p):
-        p.add_argument("--sample-budget", dest="sample_budget",
-                       help="accepted for compatibility and ignored")
-    return parser
+        option(p, "--sample-budget", dest="sample_budget",
+               help="accepted for compatibility and ignored")
+    return parser, commands, file_keys
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands, file_keys = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # file values become the command's defaults and the command line
+            # is parsed again: flags still win, and argparse converts and
+            # checks file values as it does flags
+            values = _read_config_file(args.config)
+            unknown = set(values) - file_keys
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            commands[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

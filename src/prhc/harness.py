@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +54,6 @@ __all__ = [
 ]
 
 COST_KINDS = ("quadratic", "nonconvex", "set_distance")
-
-# exact column order of the CSV schema; ReportRow fields mirror it
-CSV_HEADER = (
-    "seed,cost_kind,policy,n,m,T,N,M,J,energy,gain,beta,gamma_bar_sq,"
-    "certified,omega_op,bound,satisfied,truncated_tail"
-)
 
 GRID_BUDGET = 10**8          # max points an exhaustive grid sweep may enumerate
 REFINE_POINTS = 33           # grid points per axis on each refinement level
@@ -150,9 +145,7 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
     A = rng.uniform(A_LOW, cfg.a_high, (n, n))
     B = np.ones((n, m))
     sys = LinearSystem(A=A, B=B)
-    w = rng.uniform(W_LOW, W_HIGH, (T, n))
-    w_c = math.sqrt(n) * max(abs(W_LOW), abs(W_HIGH))
-    w_full = DisturbanceSequence(w=w, w_c=w_c)
+    w_full = DisturbanceSequence(rng.uniform(W_LOW, W_HIGH, (T, n)))
 
     if cfg.cost_kind == "quadratic":
         q = rng.uniform(Q_LOW, Q_HIGH, (T, n))
@@ -195,7 +188,9 @@ def scenario_params(sc: Scenario) -> EnvelopeParams | None:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One (scenario, policy) outcome; field order mirrors the CSV schema."""
+    """One (scenario, policy) outcome: the report schema. Its fields, in
+    order, are the CSV columns and the JSON row keys, and each field's type
+    (bool, int, float or str) is its column's kind."""
 
     seed: int
     cost_kind: str
@@ -217,8 +212,7 @@ class ReportRow:
     truncated_tail: bool
 
     def _key(self) -> tuple:
-        return tuple(_fmt(getattr(self, f.name))
-                     for f in dataclasses.fields(ReportRow))
+        return tuple(_fmt(getattr(self, name)) for name in _COLUMNS)
 
     # rows are equal when their serialized forms match, so nan fields
     # (undefined gains, inapplicable bounds) do not break round-trips
@@ -229,6 +223,17 @@ class ReportRow:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _columns(row_type) -> dict:
+    """Column -> kind, in field order; get_type_hints resolves the
+    annotations whether or not they are postponed."""
+    hints = typing.get_type_hints(row_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(row_type)}
+
+
+_COLUMNS = _columns(ReportRow)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -422,7 +427,7 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         while r0 < len(c):
             if last and tall and r0 % tall == 0:
                 found = _separable_min(costs, t, x[r0:r0 + tall], c[r0:r0 + tall],
-                                       *g_last, best[0])
+                                       *g_last)
                 if found is not None:
                     val, flat = found
                     if val < best[0]:
@@ -476,13 +481,11 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     return val, point
 
 
-def _separable_min(costs: SeparableCost, t: int, xb, cb, g, k_star: int, bound: float):
+def _separable_min(costs: SeparableCost, t: int, xb, cb, g, k_star: int):
     """(value, flat index) of the first row-major minimum of the block
     cb[:, None] + costs.eval(t, xb[:, None, :], u[None]), where g holds the
     input terms over u, all finite, and k_star is their first argmin; None
-    unless every row's value at k_star is finite. A block minimum that is
-    not below `bound`, the scan's best so far, cannot win, and its index
-    reads -1.
+    unless every row's value at k_star is finite.
 
     A value is cb_r + (f_r + g_k) for the state term f_r. Round-to-nearest
     addition is monotone, so each row is smallest at k_star, and no row
@@ -496,8 +499,6 @@ def _separable_min(costs: SeparableCost, t: int, xb, cb, g, k_star: int, bound: 
     if not np.isfinite(at_k).all():
         return None
     r = int(at_k.argmin())
-    if not at_k[r] < bound:
-        return float(at_k[r]), -1
     row = cb[r] + (f[r] + g)
     col = int(row.argmin())
     return float(row[col]), r * len(g) + col
@@ -577,7 +578,7 @@ def _fmt(value) -> str:
 
 
 def _row_dict(row: ReportRow) -> dict:
-    return {f.name: getattr(row, f.name) for f in dataclasses.fields(ReportRow)}
+    return {name: getattr(row, name) for name in _COLUMNS}
 
 
 def emit_report(report: ExperimentReport, format: str, path) -> None:
@@ -586,8 +587,7 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
     if format == "csv":
         lines = [CSV_HEADER]
         for row in rows:
-            lines.append(",".join(_fmt(getattr(row, name))
-                                  for name in CSV_HEADER.split(",")))
+            lines.append(",".join(_fmt(getattr(row, name)) for name in _COLUMNS))
         payload = "\n".join(lines) + "\n"
     elif format == "json":
         doc = {"config": report.config, "rows": [_row_dict(r) for r in rows]}
@@ -601,47 +601,32 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
             fh.write(payload)
 
 
-_BOOL_FIELDS = {"certified", "satisfied", "truncated_tail"}
-_INT_FIELDS = {"seed", "n", "m", "T", "N", "M"}
-_STR_FIELDS = {"cost_kind", "policy"}
-
-
 def _parse_cell(name: str, text: str):
-    if name in _STR_FIELDS:
-        return text
-    if name in _BOOL_FIELDS:
+    kind = _COLUMNS[name]
+    if kind is bool:
         if text not in ("true", "false"):
             raise ValueError(f"column {name} expects true/false, got {text!r}")
         return text == "true"
-    if name in _INT_FIELDS:
-        return int(text)
-    return float(text)
+    return kind(text)
 
 
 def _json_row(i: int, entry) -> ReportRow:
     """Row i of a JSON report: exactly the ReportRow keys, each of its JSON type."""
     if not isinstance(entry, dict):
         raise ValueError(f"JSON row {i} is not an object")
-    names = [f.name for f in dataclasses.fields(ReportRow)]
-    missing = [n for n in names if n not in entry]
-    extra = [k for k in entry if k not in names]
+    missing = [n for n in _COLUMNS if n not in entry]
+    extra = [k for k in entry if k not in _COLUMNS]
     if missing or extra:
         raise ValueError(f"JSON row {i}: missing keys {missing}, unknown keys {extra}")
     cells = {}
-    for name in names:
+    for name, kind in _COLUMNS.items():
         value = entry[name]
-        if name in _STR_FIELDS:
-            ok = isinstance(value, str)
-        elif name in _BOOL_FIELDS:
-            ok = isinstance(value, bool)
-        elif name in _INT_FIELDS:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            value = float(value) if ok else value
+        # a float column takes any JSON number; only a bool column takes a bool
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and (kind is bool or not isinstance(value, bool)))
         if not ok:
             raise ValueError(f"JSON row {i}: key {name} has the wrong type: {value!r}")
-        cells[name] = value
+        cells[name] = float(value) if kind is float else value
     return ReportRow(**cells)
 
 
@@ -670,11 +655,10 @@ def load_report(path) -> ExperimentReport:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized report: bad CSV header")
-    names = CSV_HEADER.split(",")
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != len(names):
+        if len(cells) != len(_COLUMNS):
             raise ValueError(f"malformed CSV row: {ln!r}")
-        rows.append(ReportRow(**{n: _parse_cell(n, c) for n, c in zip(names, cells)}))
+        rows.append(ReportRow(**{n: _parse_cell(n, c) for n, c in zip(_COLUMNS, cells)}))
     return ExperimentReport(config={}, rows=rows)

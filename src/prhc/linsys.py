@@ -15,9 +15,6 @@ __all__ = [
     "stack_dynamics",
 ]
 
-# slack added to the disturbance norm cap so boundary draws survive float round-off
-NORM_CAP_SLACK = 1e-12
-
 
 def _as_float_array(name, value, ndim):
     arr = np.asarray(value, dtype=float)
@@ -70,36 +67,23 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class DisturbanceSequence:
-    """Disturbance vectors w_1..w_T together with the norm cap of their support set."""
+    """Disturbance vectors w_1..w_T, one finite row per step."""
 
     w: np.ndarray  # (T, n)
-    w_c: float
 
     def __post_init__(self):
         w = _as_float_array("w", self.w, 2)
-        w_c = float(self.w_c)
-        if w_c < 0:
-            raise ValueError(f"w_c must be nonnegative, got {w_c}")
-        norms = np.linalg.norm(w, axis=1)
-        if norms.size and norms.max() > w_c + NORM_CAP_SLACK:
-            t = int(norms.argmax())
-            raise ValueError(
-                f"disturbance at step {t} has norm {norms[t]:.6g}, exceeding the cap {w_c:.6g}"
-            )
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_c", w_c)
 
     @classmethod
-    def zeros(cls, T: int, n: int, w_c: float = 0.0) -> "DisturbanceSequence":
-        return cls(np.zeros((T, n)), w_c)
+    def zeros(cls, T: int, n: int) -> "DisturbanceSequence":
+        return cls(np.zeros((T, n)))
 
     @classmethod
     def from_array(cls, w) -> "DisturbanceSequence":
-        """Wrap an array, taking the cap as the largest per-step norm."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        cap = float(np.linalg.norm(w, axis=1).max()) if w.size else 0.0
-        return cls(w, cap)
+        """Wrap an array; a single step may be given as a 1-D vector."""
+        return cls(np.atleast_2d(np.asarray(w, dtype=float)))
 
     def __len__(self) -> int:
         return self.w.shape[0]
@@ -109,10 +93,10 @@ class DisturbanceSequence:
         return self.w.shape[1]
 
     def window(self, start: int, stop: int) -> "DisturbanceSequence":
-        """Sub-sequence covering steps start..stop-1 (0-based), same cap."""
+        """Sub-sequence covering steps start..stop-1 (0-based)."""
         if not (0 <= start <= stop <= len(self)):
             raise ValueError(f"window [{start}, {stop}) out of range for length {len(self)}")
-        return DisturbanceSequence(self.w[start:stop].copy(), self.w_c)
+        return DisturbanceSequence(self.w[start:stop].copy())
 
     def energy(self) -> float:
         """Total squared norm of the sequence."""

@@ -79,13 +79,14 @@ class RunResult:
 def build_schedule(N: int, M: int, T: int) -> RhcSchedule:
     """Window starts (1-based) for preview N, overlap M, task horizon T.
 
-    N = T collapses to a single window covering the whole task; otherwise the
-    arithmetic progression with step N-M runs until it passes T, and the last
-    window is truncated at T.
+    N = T collapses to a single window covering the whole task, which has no
+    next window to overlap, so M = N is allowed there; otherwise M < N, the
+    arithmetic progression with step N-M runs until it passes T, and the
+    last window is truncated at T.
     """
     if M < 1:
         raise ValueError(f"overlap must satisfy M >= 1, got M={M}")
-    if M >= N:
+    if M >= N and not M == N == T:
         raise ValueError(f"overlap must satisfy M < N, got M={M}, N={N}")
     if N > T:
         raise ValueError(f"preview must satisfy N <= T, got N={N}, T={T}")
@@ -115,6 +116,18 @@ def run_policy(
     window's solution, zero-padded to its horizon.
     """
     T = sched.T
+    if w_full.n != sys.n:
+        raise ValueError(
+            f"disturbances have {w_full.n} components "
+            f"but the state dimension is n={sys.n}"
+        )
+    x = np.asarray(x1, dtype=float)
+    if x.size != sys.n:
+        raise ValueError(
+            f"initial state has {x.size} entries "
+            f"but the state dimension is n={sys.n}"
+        )
+    x = x.reshape(sys.n)
     if len(w_full) < T:
         raise ValueError(
             f"disturbance sequence covers {len(w_full)} steps "
@@ -125,7 +138,6 @@ def run_policy(
             f"cost sequence covers {costs.length} stages "
             f"but the task horizon is T={T}"
         )
-    x = np.asarray(x1, dtype=float).reshape(sys.n)
     if isinstance(costs, QuadraticCost):
         W = len(sched.t_list)
         starts = np.array(sched.t_list) - 1

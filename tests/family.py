@@ -74,7 +74,7 @@ def compliant_quadratic_scenario(seed: int, spike: bool = True) -> FamilyScenari
     if spike:
         w = _spike_disturbance(sys, costs, sched, rng, w_c)
     else:
-        w = DisturbanceSequence(rng.uniform(0.0, 1.0, (T, sys.n)), w_c)
+        w = DisturbanceSequence(rng.uniform(0.0, 1.0, (T, sys.n)))
     return FamilyScenario(
         seed=seed, sys=sys, costs=costs, w=w,
         x1=np.zeros(sys.n), sched=sched, params=params,

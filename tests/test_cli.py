@@ -108,6 +108,35 @@ class TestConfigFile:
         proc = run_cli("run", "--config", cfg, expect=2)
         assert "key=value" in proc.stderr
 
+    def test_file_keys_are_every_commands_options(self):
+        _, _, keys = cli.build_parser()
+        assert keys == {"seed", "cost", "n", "m", "T", "N", "M", "m_rule", "out",
+                        "format", "sample_budget", "iters", "N_list", "grid_res",
+                        "u_box", "infile"}
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("run", "seed = abc", "argument --seed: invalid int value: 'abc'"),
+        ("table1", "N-list = 4,x", "argument --N-list: N list must be "
+                                   "comma-separated integers, got '4,x'"),
+        ("oracle", "grid_res = fine", "argument --grid-res: invalid float value: 'fine'"),
+    ])
+    def test_bad_file_value_names_its_flag(self, tmp_path, command, line, message):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_cli(command, "--config", cfg, expect=2)
+        assert f"prhc {command}: error: {message}" in proc.stderr
+
+    def test_one_file_serves_run_and_oracle(self, tmp_path):
+        # each command ignores the keys of the others (iters, grid_res, N)
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("seed=4\nn=1\nT=2\nN=2\niters=3\ngrid_res=0.05\n")
+        row = run_cli("run", "--config", cfg).stdout.splitlines()[1].split(",")
+        assert row[0] == "4" and row[3] == "1" and row[5] == "2"
+        oracle = run_cli("oracle", "--config", cfg).stdout
+        direct = run_cli("oracle", "--seed", 4, "--n", 1, "--T", 2,
+                         "--grid-res", 0.05).stdout
+        assert oracle == direct and re.search(r"^J_grid=", oracle, re.M)
+
     def test_bad_cost_alias_from_file(self, tmp_path):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("cost=fancy\n")
@@ -280,6 +309,13 @@ class TestOracle:
                                  proc.stdout))
         assert abs(float(values["diff"])) <= 1e-3
         assert float(values["J_grid"]) > 0
+
+    @pytest.mark.parametrize("flags", [("--cost", "quad"),
+                                       ("--cost", "setdist", "--n", 2)])
+    def test_one_step_task(self, flags):
+        # T = 1 is one full-preview window with nothing to overlap
+        proc = run_cli("oracle", "--T", 1, *flags)
+        assert "diff=0.0\n" in proc.stdout
 
     def test_sample_budget_flag_rejected(self):
         proc = run_cli("oracle", "--T", 2, "--n", 1, "--grid-res", 0.05,

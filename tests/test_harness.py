@@ -142,7 +142,6 @@ class TestGenScenario:
         sc = gen_scenario(4)
         assert np.all(sc.sys.A >= 0) and np.all(sc.sys.A <= 1)
         assert np.all(sc.w_full.w >= 0) and np.all(sc.w_full.w <= 1)
-        assert sc.w_full.w_c == pytest.approx(math.sqrt(sc.sys.n))
         np.testing.assert_array_equal(sc.sys.B, np.ones((2, 1)))
         np.testing.assert_array_equal(sc.x1, np.zeros(2))
 
@@ -427,6 +426,27 @@ class TestReports:
         base.update(over)
         return ReportRow(**base)
 
+    def test_header_is_the_field_order(self):
+        # the schema is ReportRow's fields, so reordering them moves columns
+        assert CSV_HEADER == (
+            "seed,cost_kind,policy,n,m,T,N,M,J,energy,gain,beta,gamma_bar_sq,"
+            "certified,omega_op,bound,satisfied,truncated_tail")
+
+    def test_column_kinds_resolve_with_and_without_postponed_annotations(self):
+        # harness postpones its annotations and this module does not
+        @dataclasses.dataclass
+        class Plain:
+            flag: bool
+            count: int
+            label: str
+            value: float
+
+        assert harness._columns(Plain) == {"flag": bool, "count": int,
+                                           "label": str, "value": float}
+        kinds = harness._columns(ReportRow)
+        assert {name: kinds[name] for name in ("seed", "policy", "J", "certified")} \
+            == {"seed": int, "policy": str, "J": float, "certified": bool}
+
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_report(ExperimentReport(), "csv", path)
@@ -518,10 +538,23 @@ class TestReports:
             load_report(path)
 
     @pytest.mark.parametrize("key,value", [("satisfied", "false"), ("M", 3.0),
-                                           ("seed", True), ("J", "1.5")])
+                                           ("seed", True), ("J", "1.5"),
+                                           ("policy", 1), ("certified", 1),
+                                           ("J", False), ("bound", None)])
     def test_json_wrong_type_rejected(self, tmp_path, key, value):
         path = self.json_report(tmp_path, lambda r: r.update({key: value}))
         with pytest.raises(ValueError, match=f"key {key} has the wrong type"):
+            load_report(path)
+
+    def test_json_integer_float_column_loads_as_float(self, tmp_path):
+        back = load_report(self.json_report(tmp_path, lambda r: r.update(J=3)))
+        assert back.rows[0].J == 3.0 and isinstance(back.rows[0].J, float)
+
+    def test_csv_bad_bool_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        emit_report(ExperimentReport(rows=[self.row()]), "csv", path)
+        path.write_text(path.read_text().replace(",true,8.75,", ",yes,8.75,"))
+        with pytest.raises(ValueError, match="column certified expects true/false"):
             load_report(path)
 
     @pytest.mark.parametrize("config", [[], None, "x", 3])

@@ -249,20 +249,13 @@ def test_stacked_prediction_matches_rollout_randomized():
         assert np.allclose(pred, traj.states[:N], rtol=1e-10, atol=1e-12)
 
 
-def test_disturbance_sequence_cap_enforced():
-    DisturbanceSequence(np.ones((3, 2)), np.sqrt(2.0))  # exactly at the cap
-    with pytest.raises(ValueError, match="exceeding the cap"):
-        DisturbanceSequence(np.ones((3, 2)), 1.0)
-
-
 def test_disturbance_sequence_window_and_energy():
     w = np.arange(8.0).reshape(4, 2)
-    ds = DisturbanceSequence(w, 10.0)
+    ds = DisturbanceSequence(w)
     assert len(ds) == 4
     assert ds.energy() == pytest.approx(float(np.sum(w * w)))
     sub = ds.window(1, 3)
     assert np.array_equal(sub.w, w[1:3])
-    assert sub.w_c == 10.0
     with pytest.raises(ValueError, match="out of range"):
         ds.window(2, 6)
 

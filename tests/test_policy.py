@@ -7,7 +7,9 @@ import prhc.solver
 from hypothesis import given, settings, strategies as st
 from family import compliant_quadratic_scenario
 from prhc.bounds import a_factor, omega_op
-from prhc.costs import NonConvexCost, QuadraticCost, quadratic_value_form, total_cost
+from prhc.costs import (
+    NonConvexCost, QuadraticCost, SetDistanceCost, quadratic_value_form, total_cost,
+)
 from prhc.linsys import DisturbanceSequence, LinearSystem, _propagate, rollout
 from prhc.policy import WindowStop, build_schedule, run_policy
 from prhc.solver import HorizonProblem, solve_quadratic
@@ -60,6 +62,13 @@ class TestBuildSchedule:
     def test_rejects_overlap_at_preview(self):
         with pytest.raises(ValueError, match="M < N"):
             build_schedule(4, 4, 10)
+
+    def test_full_preview_allows_overlap_at_preview(self):
+        # one window covers the task, so there is no next window to overlap
+        assert build_schedule(1, 1, 1).t_list == (1,)
+        assert build_schedule(3, 3, 3).t_list == (1,)
+        with pytest.raises(ValueError, match="M < N"):
+            build_schedule(3, 4, 3)
 
     def test_rejects_preview_past_horizon(self):
         with pytest.raises(ValueError, match="N <= T"):
@@ -189,6 +198,23 @@ class TestRunPolicy:
         with pytest.raises(ValueError, match="task horizon"):
             run_policy(sys, scalar_quad(6), DisturbanceSequence.zeros(4, 1),
                        [0.0], build_schedule(3, 1, 6))
+
+    @pytest.mark.parametrize("costs", [
+        QuadraticCost(np.stack([np.eye(2)] * 6), np.ones((6, 1, 1))),
+        SetDistanceCost(a_seq=np.ones(6), center=np.zeros(2), radius=0.25),
+    ], ids=["quadratic", "set_distance"])
+    @pytest.mark.parametrize("w,x1,message", [
+        (np.zeros((6, 3)), np.zeros(2),
+         "disturbances have 3 components but the state dimension is n=2"),
+        (np.zeros((6, 2)), np.zeros(3),
+         "initial state has 3 entries but the state dimension is n=2"),
+    ], ids=["w", "x1"])
+    def test_dimension_mismatch_rejected_before_solving(self, costs, w, x1, message):
+        # the exact and the descent branch raise the same error
+        sys = LinearSystem(A=0.5 * np.eye(2), B=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=message):
+            run_policy(sys, costs, DisturbanceSequence.from_array(w), x1,
+                       build_schedule(3, 1, 6))
 
     def test_cost_length_mismatch_rejected(self):
         sys = LinearSystem(A=[[0.5]], B=[[1.0]])
