@@ -10,10 +10,8 @@ experiment harness with a CLI.
 
 from .bounds import (
     GainCertificate,
-    PreviewGainBound,
     a_factor,
     certify,
-    gain_bound_for_preview,
     kappa,
     omega_op,
     recursion_audit,

@@ -19,8 +19,6 @@ __all__ = [
     "kappa",
     "omega_op",
     "a_factor",
-    "PreviewGainBound",
-    "gain_bound_for_preview",
     "GainCertificate",
     "certify",
     "recursion_audit",
@@ -77,56 +75,6 @@ def a_factor(beta: float, M: int) -> float:
 
 
 @dataclass(frozen=True)
-class PreviewGainBound:
-    """Preview-length form of the certified gain: gamma_op_sq = omega*gamma_bar_sq
-    with the overlap fixed at floor(N/2), and rho the exact residual above the
-    2*zeta floor. rho_envelope is the O(1/N) cap the derivation yields;
-    envelope_ok is reported rather than enforced because tight zeta margins
-    can break the cap's intermediate inequality."""
-
-    gamma_op_sq: float
-    rho: float
-    omega: float
-    rho_envelope: float
-    envelope_ok: bool
-    M: int
-
-
-def gain_bound_for_preview(params: EnvelopeParams, N: int) -> PreviewGainBound:
-    """Certified disturbance-gain coefficient as a function of preview length.
-
-    Requires N > 4*zeta^3 (strict), beta >= 1/zeta and zeta > 1; violations
-    raise with the failed condition and its margin.
-    """
-    beta, zeta = params.beta, params.zeta
-    if not (zeta > 1.0):
-        raise ValueError(f"requires zeta > 1, got zeta={zeta} (margin {zeta - 1.0:.3g})")
-    if beta * zeta < 1.0 - 1e-12:
-        raise ValueError(
-            f"requires beta >= 1/zeta: beta={beta}, 1/zeta={1.0 / zeta:.6g} "
-            f"(margin {beta - 1.0 / zeta:.3g})"
-        )
-    threshold = 4.0 * zeta ** 3
-    if not (N > threshold):
-        raise ValueError(
-            f"requires N > 4*zeta^3 = {threshold:.6g}, got N={N} "
-            f"(margin {N - threshold:.3g})"
-        )
-    M = N // 2
-    w = omega_op(beta, M)
-    rho = w - 2.0 * zeta
-    envelope = (2.0 * zeta * zeta / (2.0 * zeta - 1.0)) * kappa(beta, M)
-    return PreviewGainBound(
-        gamma_op_sq=w * params.gamma_bar_sq,
-        rho=rho,
-        omega=w,
-        rho_envelope=envelope,
-        envelope_ok=bool(rho <= envelope + 1e-12),
-        M=M,
-    )
-
-
-@dataclass(frozen=True)
 class GainCertificate:
     """Outcome of checking one run against the certified gain bound."""
 
@@ -137,7 +85,6 @@ class GainCertificate:
     bound: float                # +inf when conditions fail
     conditions: tuple           # (name, satisfied, margin) triples
     satisfied: bool
-    truncated_tail: bool
 
     @property
     def conditions_ok(self) -> bool:
@@ -187,7 +134,6 @@ def certify(
         bound=bound,
         conditions=conditions,
         satisfied=satisfied,
-        truncated_tail=sched.truncated_tail,
     )
 
 

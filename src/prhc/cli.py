@@ -191,8 +191,10 @@ def _audit_row(row, sc, params, sched, res) -> tuple:
         # no envelope, or a contraction factor undefined below the
         # stability threshold; nothing to audit for such rows
         return f"skipped: {exc}", True
-    worst = min(slacks) if slacks else float("nan")
-    ok = (not slacks) or worst >= AUDIT_SLACK_FLOOR
+    if not slacks:
+        return "skipped: no pair of full-length windows", True
+    worst = min(slacks)
+    ok = worst >= AUDIT_SLACK_FLOOR
     return (f"intervals={len(slacks)} min_slack={worst:.3e} "
             f"{'pass' if ok else 'FAIL'}", ok)
 

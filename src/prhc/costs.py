@@ -282,7 +282,9 @@ class EnvelopeParams:
     """Cost-envelope constants: alpha_lo <= stage costs / sigma, and the
     (alpha_hi, gamma_bar_sq) pair upper-bounding window values V_t.
 
-    beta = alpha_lo / alpha_hi; zeta >= 1/beta enters the preview-length bound.
+    beta = alpha_lo / alpha_hi. zeta >= 1/beta enters no bound; the field
+    and its checks stay because acceptance check A2 constructs EnvelopeParams
+    with it.
     Only the quadratic model has such constants, and estimate_params computes
     them exactly; `certified` is False only on constants a caller made up,
     such as a deliberately under-reported gamma_bar_sq.
@@ -319,17 +321,15 @@ class EnvelopeParams:
             )
 
     @classmethod
-    def from_alphas(cls, alpha_lo, alpha_hi, gamma_bar_sq, zeta=None):
+    def from_alphas(cls, alpha_lo, alpha_hi, gamma_bar_sq):
         alpha_hi = max(float(alpha_hi), float(alpha_lo))
         beta = min(float(alpha_lo) / alpha_hi, 1.0)
-        if zeta is None:
-            zeta = max(1.0 / beta, 1.0 + 1e-9)
         return cls(
             alpha_lo=float(alpha_lo),
             alpha_hi=alpha_hi,
             gamma_bar_sq=float(gamma_bar_sq),
             beta=beta,
-            zeta=float(zeta),
+            zeta=max(1.0 / beta, 1.0 + 1e-9),
         )
 
 

@@ -601,13 +601,18 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
             fh.write(payload)
 
 
-def _parse_cell(name: str, text: str):
+def _parse_cell(i: int, name: str, text: str):
+    """Cell of data row i of a CSV report, read as its column's kind."""
     kind = _COLUMNS[name]
-    if kind is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"column {name} expects true/false, got {text!r}")
-        return text == "true"
-    return kind(text)
+    try:
+        if kind is not bool:
+            return kind(text)
+        if text in ("true", "false"):
+            return text == "true"
+    except ValueError:
+        pass
+    expects = "true/false" if kind is bool else kind.__name__
+    raise ValueError(f"CSV row {i}: column {name} expects {expects}, got {text!r}")
 
 
 def _json_row(i: int, entry) -> ReportRow:
@@ -656,9 +661,9 @@ def load_report(path) -> ExperimentReport:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized report: bad CSV header")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:]):
         cells = ln.split(",")
         if len(cells) != len(_COLUMNS):
             raise ValueError(f"malformed CSV row: {ln!r}")
-        rows.append(ReportRow(**{n: _parse_cell(n, c) for n, c in zip(_COLUMNS, cells)}))
+        rows.append(ReportRow(**{n: _parse_cell(i, n, c) for n, c in zip(_COLUMNS, cells)}))
     return ExperimentReport(config={}, rows=rows)

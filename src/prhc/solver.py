@@ -52,7 +52,13 @@ class HorizonProblem:
                 f"preview disturbance dimension {self.w_preview.n} "
                 f"does not match the state dimension {self.sys.n}"
             )
-        x0 = np.asarray(self.x0, dtype=float).reshape(self.sys.n)
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.size != self.sys.n:
+            raise ValueError(
+                f"initial state has {x0.size} entries "
+                f"but the state dimension is n={self.sys.n}"
+            )
+        x0 = x0.reshape(self.sys.n)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         self.costs.check_horizon(self.t0, self.N)

@@ -8,7 +8,6 @@ from prhc.bounds import (
     GainCertificate,
     a_factor,
     certify,
-    gain_bound_for_preview,
     kappa,
     omega_op,
     recursion_audit,
@@ -18,8 +17,8 @@ from prhc.linsys import DisturbanceSequence, LinearSystem
 from prhc.policy import build_schedule, run_policy
 
 
-def make_params(beta, zeta=None, gamma=1.0):
-    return EnvelopeParams.from_alphas(beta, 1.0, gamma_bar_sq=gamma, zeta=zeta)
+def make_params(beta, gamma=1.0):
+    return EnvelopeParams.from_alphas(beta, 1.0, gamma_bar_sq=gamma)
 
 
 class TestKappa:
@@ -100,47 +99,6 @@ class TestAFactor:
                 assert 0.0 < a_factor(beta, M) < 1.0
 
 
-class TestPreviewGainBound:
-    def test_pinned_example(self):
-        params = make_params(1.0, zeta=1.0 + 1e-9)
-        pb = gain_bound_for_preview(params, 8)
-        assert pb.M == 4
-        assert pb.gamma_op_sq == pytest.approx(25.0 / 12.0, rel=1e-12)
-        assert pb.rho == pytest.approx(1.0 / 12.0, abs=1e-8)
-        assert pb.envelope_ok
-
-    def test_half_beta_example(self):
-        params = make_params(0.5, zeta=2.0, gamma=3.0)
-        pb = gain_bound_for_preview(params, 33)
-        assert pb.gamma_op_sq == pytest.approx(omega_op(0.5, 16) * 3.0, rel=1e-12)
-        assert pb.gamma_op_sq == pytest.approx(4.875 * 3.0, rel=1e-12)
-        # at beta = 1/zeta the envelope is tight: rho equals it exactly
-        assert pb.rho == pytest.approx(pb.rho_envelope, rel=1e-12)
-        assert pb.envelope_ok
-
-    def test_residual_identity(self):
-        params = make_params(0.6, zeta=2.0, gamma=1.7)
-        pb = gain_bound_for_preview(params, 40)
-        assert pb.rho == pb.omega - 2.0 * params.zeta
-        assert pb.gamma_op_sq == pb.omega * params.gamma_bar_sq
-        assert pb.gamma_op_sq / params.gamma_bar_sq - 2.0 * params.zeta == \
-            pytest.approx(pb.rho, abs=1e-12)
-
-    def test_residual_shrinks_with_preview(self):
-        params = make_params(0.5, zeta=2.0)
-        rhos = [gain_bound_for_preview(params, N).rho
-                for N in (33, 66, 132, 264, 528)]
-        assert np.all(np.diff(rhos) < 0)
-        assert rhos[-1] < rhos[0] / 8  # faster than two halvings over x16
-
-    def test_preview_threshold_strict(self):
-        params = make_params(0.5, zeta=2.0)
-        with pytest.raises(ValueError, match=r"N > 4\*zeta\^3"):
-            gain_bound_for_preview(params, 32)  # 4*zeta^3 = 32 exactly
-        pb = gain_bound_for_preview(params, 33)
-        assert np.isfinite(pb.gamma_op_sq)
-
-
 class TestCertify:
     def test_zero_disturbance_zero_start(self):
         rng = np.random.default_rng(3)
@@ -151,7 +109,7 @@ class TestCertify:
         sched = build_schedule(8, 4, 12)
         res = run_policy(sys, costs, DisturbanceSequence.zeros(12, 2),
                          np.zeros(2), sched)
-        params = make_params(0.6, zeta=2.0)
+        params = make_params(0.6)
         cert = certify(res, params, sched, sigma_x1=0.0)
         assert cert.J == 0.0 and cert.energy == 0.0
         assert cert.bound == 0.0
@@ -216,7 +174,7 @@ class TestRecursionAudit:
         sched = build_schedule(8, 4, 16)
         w = DisturbanceSequence.zeros(16, 2)
         res = run_policy(sys, costs, w, np.zeros(2), sched)
-        params = make_params(0.6, zeta=2.0)
+        params = make_params(0.6)
         slacks = recursion_audit(res, params, sys, costs, w)
         assert len(slacks) >= 1
         np.testing.assert_allclose(slacks, 0.0, atol=1e-12)
@@ -249,7 +207,7 @@ class TestRecursionAudit:
         sched = build_schedule(8, 4, 10)  # second window 5..12 overruns T=10
         w = DisturbanceSequence.from_array(rng.uniform(0, 1, (10, 2)))
         res = run_policy(sys, costs, w, np.zeros(2), sched)
-        params = make_params(0.6, zeta=2.0)
+        params = make_params(0.6)
         assert recursion_audit(res, params, sys, costs, w) == []
 
     def test_no_envelope_rejected(self):

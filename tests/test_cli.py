@@ -189,6 +189,17 @@ class TestStoredReports:
                          proc.stdout, re.M)
         assert proc.stdout.splitlines()[-1] == "audit: 1 rows, 0 failures"
 
+    def test_audit_skips_run_without_a_pair_of_full_windows(self, tmp_path):
+        # N = T is one window, and M = 29 passes the stability threshold
+        # (1/beta^2 is about 22), so only the missing pair leaves nothing
+        # to check
+        out = tmp_path / "one.csv"
+        run_cli("run", "--T", 30, "--N", 30, "--M", 29, "--out", out)
+        proc = run_cli("audit", "--in", out)
+        assert re.search(r"^row 0: .* M=29 skipped: no pair of full-length "
+                         r"windows$", proc.stdout, re.M)
+        assert proc.stdout.splitlines()[-1] == "audit: 1 rows, 0 failures"
+
     def test_certify_rejects_sampled_finite_bound(self, tmp_path):
         # a report written when the non-quadratic envelope was sampled
         out = self.nonconvex_report(tmp_path, beta=0.5, gamma_bar_sq=2.0,

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -555,6 +556,21 @@ class TestReports:
         emit_report(ExperimentReport(rows=[self.row()]), "csv", path)
         path.write_text(path.read_text().replace(",true,8.75,", ",yes,8.75,"))
         with pytest.raises(ValueError, match="column certified expects true/false"):
+            load_report(path)
+
+    @pytest.mark.parametrize("column,text,expects", [("seed", "x", "int"),
+                                                     ("J", "1.5e", "float")])
+    def test_csv_bad_cell_names_row_column_and_kind(self, tmp_path, column,
+                                                     text, expects):
+        path = tmp_path / "bad.csv"
+        emit_report(ExperimentReport(rows=[self.row(), self.row(seed=1)]),
+                    "csv", path)
+        header, good, bad = path.read_text().splitlines()
+        cells = bad.split(",")
+        cells[header.split(",").index(column)] = text
+        path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"CSV row 1: column {column} expects {expects}, got {text!r}")):
             load_report(path)
 
     @pytest.mark.parametrize("config", [[], None, "x", 3])

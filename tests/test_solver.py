@@ -1,5 +1,7 @@
 """Window solver: exact quadratic path, descent path, adjoint gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="exceeds"):
             HorizonProblem(sys=sys, x0=np.zeros(1), costs=costs, t0=1,
                            w_preview=DisturbanceSequence.zeros(2, 1), N=2)
+
+    def test_initial_state_must_match_state_dimension(self):
+        sys = LinearSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                "initial state has 3 entries but the state dimension is n=2")):
+            HorizonProblem(sys=sys, x0=np.zeros(3), costs=ZeroCost(), t0=0,
+                           w_preview=DisturbanceSequence.zeros(2, 2), N=2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iters"):
