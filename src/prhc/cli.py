@@ -52,6 +52,9 @@ def _parse_n_list(text: str) -> tuple:
             f"N list must be comma-separated integers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"N list must not be empty, got {text!r}")
+    repeated = next((N for i, N in enumerate(values) if N in values[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"N list repeats {repeated}, got {text!r}")
     return values
 
 

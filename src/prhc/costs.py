@@ -44,16 +44,13 @@ __all__ = [
 # disturbance components of generated scenarios are uniform on [W_LOW, W_HIGH]
 W_LOW = 0.0
 W_HIGH = 1.0
-# relative slack of the exact envelope's sweep screens. The LQR sweep and the
-# dense value form are two float64 evaluations of the same window constants
-# on the same Riccati stage; over all windows of quadratic_scale seeds 0-9
-# their lambda_max(P_xx) agree bit for bit and their cross terms to 3.3e-16
-# relative. A window gets the dense form for alpha_hi when
-# its sweep value is within this fraction of the sweep maximum, and is
+# relative slack of the exact envelope's game-sweep screen. A window is
 # excluded from gamma_bar_sq only below a level this fraction under the
-# running maximum less its cross term. The game sweep certifies a window at
-# level c only where c(1 - SCREEN_MARGIN)I - Pi~ has a Cholesky factor at
-# every stage
+# running maximum less its cross term, and the game sweep certifies a window
+# at level c only where c(1 - SCREEN_MARGIN)I - Pi~ has a Cholesky factor at
+# every stage, so the rounding of the sweep and of the dense w-block
+# eigenvalues, two float64 evaluations, cannot drop a window that holds the
+# maximum
 SCREEN_MARGIN = 1e-6
 
 
@@ -530,33 +527,28 @@ def _game_certifies(sys, costs, N, starts, c):
 
 
 def _exact_quadratic_upper(sys, costs, N):
-    """(alpha_hi, gamma_bar_sq) of the quadratic model, bit for bit the maxima
-    over every window start of eigvalsh on its dense value form
-    (quadratic_value_form).
+    """(alpha_hi, gamma_bar_sq) of the quadratic model: the maxima over every
+    window start of lambda_max of its value form's x- and w-blocks
+    (quadratic_value_form), each plus the cross term ||P_xw||_2.
 
-    The LQR sweep gives every window's lambda_max(P_xx) plus cross term.
-    For gamma_bar_sq, the window with the largest cross term among those
-    left gets the dense form and its w-block eigenvalues, and a game sweep
-    at each window's level (running maximum less its cross term) drops the
-    windows it certifies; this repeats until no window is left. Windows that
-    tie the maximum, as under time-invariant weights, are never certified,
-    but windows with equal horizon and stage weights have bitwise-equal
-    value forms, so each distinct weight slice gets one dense form. alpha_hi
-    takes the dense form of the windows within SCREEN_MARGIN of the largest
-    sweep value; a window the gamma loop did not reach needs no w-block
-    eigenvalues.
+    The LQR sweep gives every window's lambda_max(P_xx) and cross term, so
+    alpha_hi is its largest sum. For gamma_bar_sq, the window with the
+    largest cross term among those left gets the dense form and eigvalsh of
+    its w-block, and a game sweep at each window's level (running maximum
+    less its cross term) drops the windows it certifies; this repeats until
+    no window is left. Windows that tie the maximum, as under time-invariant
+    weights, are never certified, but windows with equal horizon and stage
+    weights have bitwise-equal value forms, so each distinct weight slice
+    gets one dense form.
     """
     L, n = costs.length, sys.n
     lam_x, cross = _lqr_sweep(sys, costs, N)
     Q, R = costs.Q_seq, costs.R_seq
-    built = {}  # horizon -> (start, candidates) of every value form built
+    built = {}  # horizon -> (start, lambda_max(P_ww)) of every value form built
 
-    def candidates(t0, with_gamma):
-        # (alpha, gamma) candidates of eigvalsh on the window's value form;
-        # gamma is None unless asked for, and costs no w-block eigenvalues then.
-        # A window reuses those of a built one with the same horizon and
-        # weight bits, whose value form is bitwise equal; calls without
-        # gamma come after all calls with it
+    def top_w(t0):
+        # a window reuses the w-block eigenvalue of a built one with the same
+        # horizon and weight bits, whose value form is bitwise equal
         h = min(N, L - t0)
         for s, found in built.get(h, ()):
             if (Q[s:s + h].tobytes() == Q[t0:t0 + h].tobytes()
@@ -565,15 +557,11 @@ def _exact_quadratic_upper(sys, costs, N):
         P = quadratic_value_form(sys, costs, t0, h)
         if not np.isfinite(P).all():
             raise ValueError(f"value form of the window from start {t0} is not finite")
-        cr = float(np.linalg.norm(P[:n, n:], 2))
-        top_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
-        gamma = None
-        if with_gamma:
-            # w_{h-1} reaches no costed state, so the w-block's last block
-            # row and column are zero; they add only a zero eigenvalue
-            gamma = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)) + cr
-        built.setdefault(h, []).append((t0, (top_x + cr, gamma)))
-        return top_x + cr, gamma
+        # w_{h-1} reaches no costed state, so the w-block's last block row
+        # and column are zero; they add only a zero eigenvalue
+        lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
+        built.setdefault(h, []).append((t0, lam_w))
+        return lam_w
 
     gamma_sq = 0.0
     live = np.arange(L)
@@ -581,7 +569,7 @@ def _exact_quadratic_upper(sys, costs, N):
     while live.size:
         i = int(np.argmax(cross[live]))
         t0 = int(live[i])
-        gamma_sq = max(gamma_sq, candidates(t0, True)[1])
+        gamma_sq = max(gamma_sq, top_w(t0) + float(cross[t0]))
         live = np.delete(live, i)
         # certification depends on gamma_sq alone, so a window the last
         # sweep kept stays kept until gamma_sq moves
@@ -589,10 +577,7 @@ def _exact_quadratic_upper(sys, costs, N):
             c = (gamma_sq - cross[live]) * (1.0 - SCREEN_MARGIN)
             live = live[~_game_certifies(sys, costs, N, live, c)]
             swept_at = gamma_sq
-    swept = lam_x + cross
-    near = np.flatnonzero(swept >= swept.max() * (1.0 - SCREEN_MARGIN))
-    alpha_hi = max(candidates(t0, False)[0] for t0 in near.tolist())
-    return alpha_hi, gamma_sq
+    return float(np.max(lam_x + cross)), gamma_sq
 
 
 def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> tuple:
@@ -601,15 +586,16 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> t
     Only quadratic costs have them: V_t is a quadratic form in (x, w),
     evaluated over every window start, and the constants come from block
     eigenvalues with the cross term dominated. Two backward Riccati sweeps
-    over all window starts at once decide which windows need their dense
-    value form: an LQR sweep gives every window's lambda_max(P_xx) and cross
-    term, and a game sweep certifies c*I - P_ww positive definite by
-    Cholesky tests of its stage pivots' Schur complements. Only the windows
-    the sweeps cannot exclude get the dense form, from one more Riccati
-    sweep over the window, and eigenvalues, so both constants equal those
-    of eigenvalues on every window. A non-finite sweep or value form, or a
-    stage pivot without a Cholesky factor, raises ValueError naming its
-    window start.
+    run over all window starts at once. An LQR sweep gives every window's
+    lambda_max(P_xx) and cross term, which give alpha_hi and the cross term
+    of every gamma_bar_sq candidate. A game sweep certifies c*I - P_ww
+    positive definite by Cholesky tests of its stage pivots' Schur
+    complements, and only the windows it cannot exclude get the dense value
+    form, from one more Riccati sweep over the window, and eigenvalues of
+    its w-block, so gamma_bar_sq equals the maximum over every window of
+    those eigenvalues plus the sweep's cross term. A non-finite sweep or
+    value form, or a stage pivot without a Cholesky factor, raises
+    ValueError naming its window start.
     Any other model raises ValueError naming its class. For the shipped
     non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
     x* with sigma(x*) = 0.

@@ -139,6 +139,8 @@ def gen_scenario(seed: int, config: ScenarioConfig | None = None) -> Scenario:
     disturbance table, then cost parameters. The set-distance weights are
     re-drawn as a whole vector until their minimum clears the floor.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     cfg = config or ScenarioConfig()
     rng = np.random.default_rng(seed)
     n, m, T = cfg.n, cfg.m, cfg.T
@@ -324,6 +326,8 @@ def run_table1(
     measured no faster than one thread), and the rows come out sorted."""
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
+    if not N_list or len(set(N_list)) < len(N_list):
+        raise ValueError(f"N_list must be nonempty without repeats, got {list(N_list)}")
     base = config or ScenarioConfig()
     report = ExperimentReport(
         config={

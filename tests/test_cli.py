@@ -340,6 +340,11 @@ class TestOracle:
         assert re.search(r"^J_grid=", proc.stdout, re.M)
 
 
+def test_negative_seed_names_the_seed():
+    proc = run_cli("run", "--seed", -1, "--T", 8, "--N", 4, expect=2)
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
+
+
 class TestTable1:
     def test_tiny_protocol_layout(self, tmp_path):
         out = tmp_path / "t1.csv"
@@ -352,6 +357,12 @@ class TestTable1:
         cell_lines = [ln for ln in proc.stderr.splitlines()
                       if re.match(r"\s+\w+ +\w+ +N=", ln)]
         assert len(cell_lines) == 6
+
+    def test_repeated_preview_rejected(self):
+        proc = run_cli("table1", "--iters", 1, "--N-list", "4,6,4", "--T", 8, expect=2)
+        assert ("prhc table1: error: argument --N-list: N list repeats 4, "
+                "got '4,6,4'") in proc.stderr
+        assert proc.stdout == ""
 
     def test_cell_lines_count_finite_bounds(self, tmp_path, capsys):
         out = tmp_path / "t1.csv"

@@ -18,7 +18,7 @@ from prhc.costs import (
     sigma_eval,
     total_cost,
 )
-from prhc import harness
+from prhc import costs as costs_mod, harness
 from prhc.harness import ScenarioConfig, gen_scenario, run_comparison, scenario_params
 from prhc.linsys import DisturbanceSequence, LinearSystem, Trajectory, stack_dynamics
 from prhc.solver import HorizonProblem, adjoint_gradient, solve_general, solve_quadratic
@@ -263,18 +263,20 @@ class TestQuadraticValueForm:
         # the exact envelope serves the shorter tail windows from the leading
         # blocks of the system's N-step stack; the constants must equal, bit
         # for bit, those of a value form over a freshly built stack per window
-        # start. The last block of each w-block is zero and the envelope
-        # leaves it out of the eigenvalue problem.
+        # start, each block's lambda_max plus the LQR sweep's cross term. The
+        # last block of each w-block is zero and the envelope leaves it out
+        # of the eigenvalue problem.
         rng = np.random.default_rng(9)
         n, m, N, L = 3, 2, 5, 9
         sys = LinearSystem(A=rng.uniform(-1, 1, (n, n)), B=rng.uniform(-1, 1, (n, m)))
         costs = random_quad(rng, n, m, L)
+        _, sweep_cross = costs_mod._lqr_sweep(sys, costs, N)
         alpha_hi = gamma_sq = 0.0
         for t0 in range(L):
             h = min(N, L - t0)
             P = quadratic_value_form(LinearSystem(A=sys.A, B=sys.B), costs, t0, h)
             assert not np.any(P[n * h:]) and not np.any(P[:, n * h:])
-            cross = float(np.linalg.norm(P[:n, n:], 2))
+            cross = float(sweep_cross[t0])
             alpha_hi = max(alpha_hi, float(np.linalg.eigvalsh(P[:n, :n])[-1]) + cross)
             lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
             gamma_sq = max(gamma_sq, lam_w + cross)

@@ -136,6 +136,11 @@ class TestGenScenario:
             if kind == "set_distance":
                 np.testing.assert_array_equal(a.costs.a_seq, b.costs.a_seq)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^seed must be a non-negative integer, got -1$"):
+            gen_scenario(-1)
+
     def test_seed_changes_draws(self):
         assert not np.array_equal(gen_scenario(0).sys.A, gen_scenario(1).sys.A)
 
@@ -238,6 +243,11 @@ class TestRunTable1:
         assert rep.config["iters"] == 2 and rep.config["N_list"] == [4, 6]
         assert rep.config["scenario"] == {"cost_kind": "quadratic", "n": 2, "m": 1,
                                           "T": 8, "N": 6, "a_high": 1.0}
+
+    @pytest.mark.parametrize("N_list", [(), (4, 4), (4, 6, 4)])
+    def test_empty_or_repeated_previews_rejected(self, N_list):
+        with pytest.raises(ValueError, match="N_list must be nonempty without repeats"):
+            run_table1(iters=1, N_list=N_list, config=ScenarioConfig(T=8))
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("PRHC_THREADS", "many")

@@ -170,13 +170,14 @@ def test_value_form_matches_long_double_gram_form_at_benchmark_size(t0):
 
 def window_gains(sys, costs, N):
     """Per window start, lambda_max of the x- and w-blocks of the value form,
-    each plus the cross-term norm, from eigvalsh on every block."""
+    from eigvalsh on every block, each plus the LQR sweep's cross term."""
     n = sys.n
+    _, sweep_cross = costs_mod._lqr_sweep(sys, costs, N)
     gains = []
     for t0 in range(costs.length):
         h = min(N, costs.length - t0)
         P = quadratic_value_form(sys, costs, t0, h)
-        cross = float(np.linalg.norm(P[:n, n:], 2))
+        cross = float(sweep_cross[t0])
         lam_x = float(np.linalg.eigvalsh(P[:n, :n]).max(initial=0.0))
         lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
         gains.append((lam_x + cross, lam_w + cross))
@@ -403,35 +404,36 @@ def test_normal_matrix_without_cholesky_factor_names_its_window_start(sweep_only
         estimate_gamma_alpha_upper(sweep_only.sys, sweep_only.costs, sweep_only.N)
 
 
-def test_alpha_only_window_gets_no_w_block_eigvalsh(monkeypatch):
-    # in this instance window 7 enters the alpha_hi set, but the game sweep
-    # certifies its w-block before the gamma loop reaches it
+def test_every_dense_form_gets_its_w_block_eigvalsh(monkeypatch):
+    # alpha_hi and every cross term come from the LQR sweep, so a window
+    # gets a dense value form only for its w-block eigenvalues: one eigvalsh
+    # of a single matrix per form, and no 2-norm
     sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=3, m=1, T=20,
                                         N=6, a_high=0.5))
-    n = sc.sys.n
     reference = unscreened_upper(sc.sys, sc.costs, sc.N)
-    lam_x, cross = costs_mod._lqr_sweep(sc.sys, sc.costs, sc.N)
-    swept = lam_x + cross
-    near = set(np.flatnonzero(swept >= swept.max() * (1.0 - costs_mod.SCREEN_MARGIN)))
-    dense, w_solved = [], []
-    real_form, real_eigvalsh = costs_mod.quadratic_value_form, np.linalg.eigvalsh
+    dense, solved, norms = [], [], []
+    real_form = costs_mod.quadratic_value_form
+    real_eigvalsh, real_norm = np.linalg.eigvalsh, np.linalg.norm
 
     def form(sys, costs, t0, h):
         dense.append(t0)
         return real_form(sys, costs, t0, h)
 
     def eigvalsh(a, *args, **kwargs):
-        if a.shape[-1] > n:  # x-blocks and the sweeps' stacks are n x n
-            w_solved.append(dense[-1])
+        if a.ndim == 2:  # the sweeps' calls take stacks of windows
+            solved.append(dense[-1])
         return real_eigvalsh(a, *args, **kwargs)
+
+    def norm(*args, **kwargs):
+        norms.append(args)
+        return real_norm(*args, **kwargs)
 
     monkeypatch.setattr(costs_mod, "quadratic_value_form", form)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "norm", norm)
     upper = costs_mod._exact_quadratic_upper(sc.sys, sc.costs, sc.N)
     monkeypatch.undo()
     assert upper == reference
-    assert len(dense) == len(set(dense))  # one value form per window
-    assert len(w_solved) == len(set(w_solved))
-    alpha_only = set(dense) - set(w_solved)
-    assert alpha_only == {7}
-    assert alpha_only <= near
+    assert dense and len(dense) == len(set(dense))  # one value form per window
+    assert solved == dense
+    assert not norms
