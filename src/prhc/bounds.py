@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver as _solver
-from .costs import CostModel, EnvelopeParams
+from .costs import CostModel, EnvelopeParams, QuadraticCost
 from .linsys import DisturbanceSequence, LinearSystem
 from .policy import RhcSchedule, RunResult
 from .solver import HorizonProblem
@@ -147,15 +147,17 @@ def recursion_audit(
     """Numerically re-derive the interval recursion on a finished run.
 
     For each consecutive pair of full-length windows, recomputes both window
-    values with fresh solver calls from the realized states and returns
-    slack = RHS - V_next of
+    values from the realized states and returns slack = RHS - V_next of
 
         V_next <= a*V_cur + beta*g2*S1 + (beta+1)*g2*S2 + g2*S3
 
     where g2 is gamma_bar_sq and S1/S2/S3 split the disturbance energy over
     the applied segment, the overlap, and the fresh tail of the next window.
-    Slacks must be nonnegative (within tolerance) when the envelope constants
-    genuinely dominate the window values. params=None (no envelope) raises
+    A quadratic model's window laws come from one _window_laws sweep over
+    the full windows' starts, each rolled out from its realized state; other
+    models solve each window afresh, as run_policy splits them. Slacks must
+    be nonnegative (within tolerance) when the envelope constants genuinely
+    dominate the window values. params=None (no envelope) raises
     ValueError, as does a stability threshold the run's M does not pass.
     """
     if params is None:
@@ -166,28 +168,27 @@ def recursion_audit(
     a = a_factor(params.beta, M)
     g2 = params.gamma_bar_sq
     step_energy = np.sum(w_full.w[:T] ** 2, axis=1)  # index t-1 for step t
-
-    def window_value(t_i: int) -> float:
-        x = result.traj.states[t_i - 1]
-        problem = HorizonProblem(
-            sys=sys, x0=x, costs=costs, t0=t_i - 1,
-            w_preview=w_full.window(t_i - 1, t_i - 1 + N), N=N,
-        )
-        return _solver.solve(problem).value
-
-    values: dict[int, float] = {}
+    full = [t for t in sched.t_list if t + N - 1 <= T]  # 1-based starts
+    if len(full) < 2:
+        return []  # the recursion needs a pair of full windows
+    states = result.traj.states
+    if isinstance(costs, QuadraticCost):
+        starts = np.array(full) - 1
+        K, f = _solver._window_laws(sys, costs, w_full.w, starts, N)
+        values = [_solver._law_rollout(sys, costs, states[t0], t0, w_full.w[t0:t0 + N],
+                                       K[:, i], f[:, i])[1]
+                  for i, t0 in enumerate(starts.tolist())]
+    else:
+        values = [_solver.solve(HorizonProblem(
+            sys=sys, x0=states[t - 1], costs=costs, t0=t - 1,
+            w_preview=w_full.window(t - 1, t - 1 + N), N=N)).value for t in full]
     slacks = []
-    for i in range(len(sched.t_list) - 1):
-        t_a, t_b = sched.t_list[i], sched.t_list[i + 1]
-        if t_b + N - 1 > T:
-            break  # remaining windows truncate; the recursion needs full ones
-        for t in (t_a, t_b):
-            if t not in values:
-                values[t] = window_value(t)
+    for i in range(len(full) - 1):
+        t_a, t_b = full[i], full[i + 1]
         s1 = float(np.sum(step_energy[t_a - 1:t_b - 1]))
         s2 = float(np.sum(step_energy[t_b - 1:t_b - 1 + M]))
         s3 = float(np.sum(step_energy[t_b - 1 + M:t_b - 1 + N]))
-        rhs = a * values[t_a] + params.beta * g2 * s1 \
+        rhs = a * values[i] + params.beta * g2 * s1 \
             + (params.beta + 1.0) * g2 * s2 + g2 * s3
-        slacks.append(rhs - values[t_b])
+        slacks.append(rhs - values[i + 1])
     return slacks

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,10 @@ def _as_float_array(name, value, ndim):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Matrix pair (A, B) of the update x_next = A x + B u + w.
-
-    A and B are read-only, so the longest window stack built for the system
-    (kept by stack_dynamics) never goes stale.
-    """
+    """Read-only matrix pair (A, B) of the update x_next = A x + B u + w."""
 
     A: np.ndarray
     B: np.ndarray
-    _stack: StackedDynamics | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_float_array("A", self.A, 2)
@@ -185,11 +179,13 @@ def rollout(sys: LinearSystem, x1, u_seq, w_seq) -> Trajectory:
     return Trajectory(states=states, inputs=u_seq.copy(), disturbances=w_seq.copy())
 
 
-def _build_stack(sys: LinearSystem, N: int) -> StackedDynamics:
+def stack_dynamics(sys: LinearSystem, N: int) -> StackedDynamics:
     """Fresh read-only batch maps for an N-step window.
 
     Offset k state: x_k = A^k x + sum_{j<k} A^(k-1-j) (B u_j + w_j).
     """
+    if N < 1:
+        raise ValueError(f"window length N must be at least 1, got {N}")
     n, m = sys.n, sys.m
     powers = [np.eye(n)]
     for _ in range(N - 1):
@@ -205,22 +201,3 @@ def _build_stack(sys: LinearSystem, N: int) -> StackedDynamics:
     for arr in (F, G, H):
         arr.setflags(write=False)
     return StackedDynamics(F=F, G=G, H=H, n=n, m=m, N=N)
-
-
-def stack_dynamics(sys: LinearSystem, N: int) -> StackedDynamics:
-    """Read-only batch maps for an N-step window.
-
-    The system keeps the longest stack built so far and serves any shorter
-    window from its leading blocks, which equal a fresh build bit for bit.
-    """
-    if N < 1:
-        raise ValueError(f"window length N must be at least 1, got {N}")
-    sd = sys._stack
-    if sd is None or sd.N < N:
-        sd = _build_stack(sys, N)
-        object.__setattr__(sys, "_stack", sd)
-    if sd.N == N:
-        return sd
-    n, m = sd.n, sd.m
-    return StackedDynamics(F=sd.F[:n * N], G=sd.G[:n * N, :m * N],
-                           H=sd.H[:n * N, :n * N], n=n, m=m, N=N)

@@ -1,4 +1,4 @@
-"""Finite-horizon window optimization: exact batch solve for quadratic costs,
+"""Finite-horizon window optimization: exact Riccati laws for quadratic costs,
 first-order descent with backtracking for everything else."""
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ STEP_SHRINK = 0.5      # backtracking factor
 ARMIJO_C = 1e-4        # sufficient-decrease constant
 STALL_STEP = 1e-20     # smallest trial step; still bounds the search where f = 0
 MEMORY = 10            # L-BFGS curvature pairs kept
+# solve_quadratic's validity range. Against the Riccati value form z'Pz on the
+# h in {40, 60, 100} windows of seeds 0-9 (T=100), every normal matrix with a
+# 2-norm condition number up to 2.6e9 gave the value to 4.2e-16 relative; the
+# next, 4.2e10, was 6.4e-13 off, and the error grows to 7.7e-3 at 7.6e15.
+NORMAL_COND_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,14 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None,
 def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     """Exact window minimizer from the stacked normal equations
     (G'QG + R) u = -G'Q (F x0 + H w), assembled block by block: neither
-    block-diagonal stage weight matrix is formed densely."""
+    block-diagonal stage weight matrix is formed densely.
+
+    The dense reference of the exact solve, valid while the normal matrix's
+    condition number is at most NORMAL_COND_MAX; a window beyond that, as
+    long windows of unstable systems soon are, raises ValueError rather
+    than return a value rounding has spoiled. solve takes Riccati laws,
+    which have no such limit.
+    """
     if not isinstance(p.costs, QuadraticCost):
         raise ValueError("solve_quadratic requires a quadratic cost model")
     n, m, N, t0 = p.sys.n, p.sys.m, p.N, p.t0
@@ -260,13 +272,17 @@ def solve_quadratic(p: HorizonProblem) -> HorizonSolution:
     normal = GtQ @ sd.G
     k = np.arange(N)
     normal.reshape(N, m, N, m)[k, :, k, :] += p.costs.R_seq[t0:t0 + N]
-    free = sd.F @ p.x0 + sd.H @ p.w_preview.w.ravel()
     try:
-        u_flat = np.linalg.solve(normal, -GtQ @ free)
-    except np.linalg.LinAlgError as exc:
+        sv = np.linalg.svd(normal, compute_uv=False)
+    except np.linalg.LinAlgError:  # NaN entries, from powers of A that overflowed
+        sv = np.full(1, np.nan)
+    if not sv[-1] * NORMAL_COND_MAX >= sv[0]:
         raise ValueError(
-            f"normal matrix of the window from start {p.t0} is singular: {exc}") from exc
-    u_opt = u_flat.reshape(N, m)
+            f"normal matrix of the window from start {t0} is ill-conditioned "
+            f"(singular values {sv[0]:.3g} to {sv[-1]:.3g}): beyond condition "
+            f"number {NORMAL_COND_MAX:.0e} solve_quadratic is not exact")
+    free = sd.F @ p.x0 + sd.H @ p.w_preview.w.ravel()
+    u_opt = np.linalg.solve(normal, -GtQ @ free).reshape(N, m)
     return HorizonSolution(
         u_opt=u_opt,
         value=horizon_objective(p, u_opt),
@@ -310,8 +326,24 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     return K, f
 
 
+def _law_rollout(sys: LinearSystem, costs: QuadraticCost, x0, t0: int, w, K, f):
+    """Inputs and window cost of the law u_k = -K_k x_k - f_k, K (h, m, n)
+    and f (h, m), rolled out by _propagate from x0 at offset t0 against the
+    window's disturbances w; the cost is horizon_objective of the inputs,
+    bit for bit."""
+    u = -f
+    xs = _propagate(sys, x0, u, w, K)
+    t = np.arange(t0, t0 + len(u))
+    return u, _in_stage_order(_stage_costs(costs, t, xs[:-1], u))
+
+
 def solve(p: HorizonProblem, cfg: SolverConfig | None = None, u0=None) -> HorizonSolution:
-    """Dispatch: exact batch path for quadratic models, descent otherwise."""
-    if isinstance(p.costs, QuadraticCost):
-        return solve_quadratic(p)
-    return solve_general(p, cfg, u0=u0)
+    """Dispatch: a quadratic window takes its law from a one-start
+    _window_laws sweep, rolled out from x0; other models descend."""
+    if not isinstance(p.costs, QuadraticCost):
+        return solve_general(p, cfg, u0=u0)
+    w = np.zeros((p.t0 + p.N, p.sys.n))  # _window_laws reads w by stage index
+    w[p.t0:] = p.w_preview.w
+    K, f = _window_laws(p.sys, p.costs, w, np.array([p.t0]), p.N)
+    u, value = _law_rollout(p.sys, p.costs, p.x0, p.t0, p.w_preview.w, K[:, 0], f[:, 0])
+    return HorizonSolution(u_opt=u, value=value, converged=True, iterations=0)

@@ -7,6 +7,7 @@ and children on one copy.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,13 +26,16 @@ def _children_import_this_prhc():
 
 @pytest.fixture
 def stack_builds(monkeypatch):
-    """List that gains one (system, N) entry per full build of a stack."""
+    """List that gains one (system, N) entry per stack_dynamics call, made
+    through any prhc module's binding of it."""
     builds = []
-    build = linsys._build_stack
+    build = linsys.stack_dynamics
 
-    def counting(sys, N):
-        builds.append((sys, N))
-        return build(sys, N)
+    def counting(system, N):
+        builds.append((system, N))
+        return build(system, N)
 
-    monkeypatch.setattr(linsys, "_build_stack", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prhc" and getattr(module, "stack_dynamics", None) is build:
+            monkeypatch.setattr(module, "stack_dynamics", counting)
     return builds

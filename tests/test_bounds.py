@@ -12,9 +12,11 @@ from prhc.bounds import (
     omega_op,
     recursion_audit,
 )
-from prhc.costs import EnvelopeParams, QuadraticCost
+from prhc.costs import EnvelopeParams, NonConvexCost, QuadraticCost, quadratic_value_form
+from prhc.harness import ScenarioConfig, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem
 from prhc.policy import build_schedule, run_policy
+from prhc.solver import HorizonProblem, solve
 
 
 def make_params(beta, gamma=1.0):
@@ -197,6 +199,49 @@ class TestRecursionAudit:
         )
         slacks = recursion_audit(res, half, sc.sys, sc.costs, sc.w)
         assert min(slacks) < 0
+
+    @staticmethod
+    def reference_slacks(res, params, w, values):
+        """The recursion's slacks from window values keyed by 1-based start."""
+        sched = res.schedule
+        N, M, T = sched.N, sched.M, sched.T
+        a, g2, beta = a_factor(params.beta, M), params.gamma_bar_sq, params.beta
+        e = np.sum(w.w[:T] ** 2, axis=1)
+        full = [t for t in sched.t_list if t + N - 1 <= T]
+        return [a * values[t_a] + beta * g2 * e[t_a - 1:t_b - 1].sum()
+                + (beta + 1.0) * g2 * e[t_b - 1:t_b - 1 + M].sum()
+                + g2 * e[t_b - 1 + M:t_b - 1 + N].sum() - values[t_b]
+                for t_a, t_b in zip(full, full[1:])]
+
+    def test_unstable_long_run_matches_value_forms(self):
+        # seed 4 at T=100 has rho(A) = 1.34: dense normal equations for its
+        # 60-step windows are off by up to 7.7e-3, Riccati values are not
+        sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", T=100, N=60))
+        sched = build_schedule(60, 50, 100)
+        params = make_params(0.5)  # M = 50 > 1/beta^2 = 4
+        res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
+        values = {}
+        for t in (1, 11, 21, 31, 41):
+            z = np.concatenate([res.traj.states[t - 1], sc.w_full.w[t - 1:t + 59].ravel()])
+            values[t] = z @ quadratic_value_form(sc.sys, sc.costs, t - 1, 60) @ z
+        slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
+        assert len(slacks) == 4
+        np.testing.assert_allclose(
+            slacks, self.reference_slacks(res, params, sc.w_full, values), rtol=1e-9)
+
+    def test_non_quadratic_windows_solved_one_by_one(self):
+        rng = np.random.default_rng(6)
+        sys = LinearSystem(A=rng.uniform(0, 0.3, (2, 2)), B=[[1.0], [1.0]])
+        costs = NonConvexCost(b=0.2)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 0.5, (12, 2)))
+        res = run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 4, 12))
+        params = make_params(0.6)
+        values = {t: solve(HorizonProblem(sys=sys, x0=res.traj.states[t - 1], costs=costs,
+                                          t0=t - 1, w_preview=w.window(t - 1, t + 5),
+                                          N=6)).value
+                  for t in (1, 3, 5, 7)}
+        slacks = recursion_audit(res, params, sys, costs, w)
+        assert slacks == self.reference_slacks(res, params, w, values)
 
     def test_no_full_pairs_gives_empty_audit(self):
         rng = np.random.default_rng(5)

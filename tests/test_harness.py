@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from prhc import harness
-from prhc.costs import CostModel, NonConvexCost, QuadraticCost
+from prhc.bounds import recursion_audit
+from prhc.costs import CostModel, EnvelopeParams, NonConvexCost, QuadraticCost
 from prhc.harness import (
     CSV_HEADER,
     ExperimentReport,
@@ -226,10 +227,16 @@ class TestRunComparison:
             assert r.gain == pytest.approx(r.J / r.energy, rel=1e-12)
 
     def test_quadratic_run_builds_no_stack(self, stack_builds):
-        # the exact envelope's value forms come from Riccati sweeps, and
-        # quadratic policy runs from their law tables: neither stacks
+        # the exact envelope's value forms come from Riccati sweeps, quadratic
+        # policy runs from their law tables, and the audit's window values
+        # from one law sweep over its full windows: none stacks
         sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", T=30, N=6))
         run_comparison(sc)
+        res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1,
+                         build_schedule(sc.N, dict(sc.policies)["overlap"], sc.T))
+        # this scenario's beta misses M > 1/beta^2; beta = 1 passes it
+        unit = EnvelopeParams.from_alphas(1.0, 1.0, gamma_bar_sq=1.0)
+        assert recursion_audit(res, unit, sc.sys, sc.costs, sc.w_full)
         assert stack_builds == []
 
 

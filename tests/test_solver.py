@@ -5,9 +5,18 @@ import re
 import numpy as np
 import pytest
 
-from prhc.costs import CostModel, NonConvexCost, QuadraticCost, SetDistanceCost, estimate_alpha_lower
+from prhc.costs import (
+    CostModel,
+    NonConvexCost,
+    QuadraticCost,
+    SetDistanceCost,
+    estimate_alpha_lower,
+    quadratic_value_form,
+)
+from prhc.harness import ScenarioConfig, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem, rollout, stack_dynamics
 from prhc.solver import (
+    NORMAL_COND_MAX,
     HorizonProblem,
     HorizonSolution,
     SolverConfig,
@@ -35,6 +44,15 @@ def random_quad(rng, n, m, T):
     Q = np.stack([np.diag(rng.uniform(1, 3, n)) for _ in range(T)])
     R = np.stack([np.diag(rng.uniform(1, 3, m)) for _ in range(T)])
     return QuadraticCost(Q, R)
+
+
+def value_form_window(sc, h):
+    """The scenario's first h-step window from x1, and its value z'Pz from
+    the Riccati value form."""
+    w = sc.w_full.window(0, h)
+    p = HorizonProblem(sys=sc.sys, x0=sc.x1, costs=sc.costs, t0=0, w_preview=w, N=h)
+    z = np.concatenate([sc.x1, w.w.ravel()])
+    return p, float(z @ quadratic_value_form(sc.sys, sc.costs, 0, h) @ z)
 
 
 def recompute_value(p, u_opt):
@@ -183,6 +201,31 @@ class TestSolveQuadratic:
                              rng.uniform(0, 1, (h, n)), t0=t0)
             sol = solve_quadratic(p)
             assert sol.value == horizon_objective(p, sol.u_opt)
+
+    def test_value_is_exact_or_refused_on_long_windows(self):
+        # from x1 = 0 on seeds 0-9 (T=100) at h in {40, 60, 100}, where six
+        # seeds have rho(A) > 1: every window is either refused by name or
+        # valued to 1e-12 of z'Pz, never valued wrong
+        refused = 0
+        for seed in range(10):
+            sc = gen_scenario(seed, ScenarioConfig(cost_kind="quadratic", T=100, N=40))
+            for h in (40, 60, 100):
+                p, ref = value_form_window(sc, h)
+                try:
+                    value = solve_quadratic(p).value
+                except ValueError as exc:
+                    assert "ill-conditioned" in str(exc)
+                    refused += 1
+                    continue
+                assert value == pytest.approx(ref, rel=1e-12)
+        assert 0 < refused < 30
+
+    def test_refuses_seed_4_window_of_60(self):
+        sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", T=100, N=60))
+        p, _ = value_form_window(sc, 60)
+        with pytest.raises(ValueError, match=re.escape(
+                f"beyond condition number {NORMAL_COND_MAX:.0e} solve_quadratic is not exact")):
+            solve_quadratic(p)
 
     def test_rejects_non_quadratic(self):
         sys = LinearSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]])
@@ -465,6 +508,30 @@ class TestDispatch:
         sol = solve(p)
         assert sol.iterations == 0 and sol.converged
         assert sol.value == pytest.approx(1.5, abs=1e-12)
+
+    def test_quadratic_value_is_horizon_objective_bit_for_bit(self):
+        # full and tail windows of a time-varying model; the Riccati law's
+        # value agrees with the dense reference on these short stable windows
+        rng = np.random.default_rng(51)
+        L, N, n, m = 10, 4, 3, 2
+        costs = random_quad(rng, n, m, L)
+        sys = LinearSystem(A=rng.uniform(-0.6, 0.6, (n, n)), B=rng.normal(size=(n, m)))
+        for t0 in range(L):
+            p = make_problem(sys, costs, rng.uniform(-2, 2, n),
+                             rng.uniform(0, 1, (min(N, L - t0), n)), t0=t0)
+            sol = solve(p)
+            assert sol.value == horizon_objective(p, sol.u_opt)
+            assert sol.value == pytest.approx(solve_quadratic(p).value, rel=1e-12)
+
+    def test_quadratic_window_matches_value_form_on_unstable_system(self):
+        # seed 4 at T=100 has rho(A) = 1.34; on its 60-step window the dense
+        # normal equations were 7.7e-3 off z'Pz
+        sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", T=100, N=60))
+        assert max(abs(np.linalg.eigvals(sc.sys.A))) == pytest.approx(1.34, abs=5e-3)
+        p, ref = value_form_window(sc, 60)
+        sol = solve(p)
+        assert sol.converged and sol.iterations == 0
+        assert sol.value == pytest.approx(ref, rel=1e-12)
 
     def test_solution_value_recomputed_independently(self):
         rng = np.random.default_rng(50)

@@ -65,7 +65,7 @@ def windows(draw, rhos=st.sampled_from([0.5, 0.95, 0.99, 1.0, 1.01])):
 def test_value_form_matches_dense_formula(window):
     sys, costs, N, t0, h = window
     P = quadratic_value_form(sys, costs, t0, h)
-    ref = dense_value_form(stack_dynamics(LinearSystem(A=sys.A, B=sys.B), h), costs, t0)
+    ref = dense_value_form(stack_dynamics(sys, h), costs, t0)
     assert P.shape == ref.shape == (sys.n * (h + 1),) * 2
     np.testing.assert_array_equal(P, P.T)
     assert np.max(np.abs(P - ref)) <= 1e-9 * np.max(np.abs(ref))
