@@ -13,7 +13,6 @@ from . import solver as _solver
 from .costs import CostModel, EnvelopeParams, QuadraticCost
 from .linsys import DisturbanceSequence, LinearSystem
 from .policy import RhcSchedule, RunResult
-from .solver import HorizonProblem
 
 __all__ = [
     "kappa",
@@ -153,14 +152,14 @@ def recursion_audit(
 
     where g2 is gamma_bar_sq and S1/S2/S3 split the disturbance energy over
     the applied segment, the overlap, and the fresh tail of the next window.
-    A quadratic model's window laws come from one _window_laws sweep over
-    the full windows' starts, each rolled out from its realized state; other
-    models solve each window afresh, as run_policy splits them. Slacks must
-    be nonnegative (within tolerance) when the envelope constants genuinely
-    dominate the window values. params=None (no envelope) raises
-    ValueError, as does a stability threshold the run's M does not pass.
+    The window laws come from one _window_laws sweep over the full windows'
+    starts, each rolled out from its realized state. Slacks must be
+    nonnegative (within tolerance) when the envelope constants genuinely
+    dominate the window values. A run without an envelope (params=None, or
+    a model other than QuadraticCost) raises ValueError, as does a stability
+    threshold the run's M does not pass.
     """
-    if params is None:
+    if params is None or not isinstance(costs, QuadraticCost):
         raise ValueError(f"no envelope for {type(costs).__name__}: the recursion "
                          f"needs finite alpha_hi and gamma_bar_sq")
     sched = result.schedule
@@ -172,16 +171,11 @@ def recursion_audit(
     if len(full) < 2:
         return []  # the recursion needs a pair of full windows
     states = result.traj.states
-    if isinstance(costs, QuadraticCost):
-        starts = np.array(full) - 1
-        K, f = _solver._window_laws(sys, costs, w_full.w, starts, N)
-        values = [_solver._law_rollout(sys, costs, states[t0], t0, w_full.w[t0:t0 + N],
-                                       K[:, i], f[:, i])[1]
-                  for i, t0 in enumerate(starts.tolist())]
-    else:
-        values = [_solver.solve(HorizonProblem(
-            sys=sys, x0=states[t - 1], costs=costs, t0=t - 1,
-            w_preview=w_full.window(t - 1, t - 1 + N), N=N)).value for t in full]
+    starts = np.array(full) - 1
+    K, f = _solver._window_laws(sys, costs, w_full.w, starts, N)
+    values = [_solver._law_rollout(sys, costs, states[t0], t0, w_full.w[t0:t0 + N],
+                                   K[:, i], f[:, i])[1]
+              for i, t0 in enumerate(starts.tolist())]
     slacks = []
     for i in range(len(full) - 1):
         t_a, t_b = full[i], full[i + 1]

@@ -108,7 +108,7 @@ class SeparableCost(CostModel):
 
 
 class QuadraticCost(SeparableCost):
-    """c_t(x, u) = x'Q_t x + u'R_t u with positive-definite Q_t, R_t.
+    """c_t(x, u) = x'Q_t x + u'R_t u with finite, positive-definite Q_t, R_t.
 
     Only the symmetric parts of Q_t and R_t enter the cost, so those are what
     the model stores; the gradient and the exact window solve read them as is.
@@ -130,6 +130,9 @@ class QuadraticCost(SeparableCost):
         Q = 0.5 * (Q + Q.transpose(0, 2, 1))
         R = 0.5 * (R + R.transpose(0, 2, 1))
         for name, seq in (("Q", Q), ("R", R)):
+            bad = np.flatnonzero(~np.isfinite(seq).all(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(f"{name}_seq[{bad[0]}] contains non-finite entries")
             lam = np.linalg.eigvalsh(seq)[:, 0]
             bad = np.flatnonzero(lam <= 0)
             if bad.size:
@@ -203,6 +206,8 @@ class NonConvexCost(SeparableCost):
 
     def __init__(self, b: float = 0.2):
         self.b = float(b)
+        if not np.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
 
     def state_cost(self, t, x):
         return self.sigma(x)
@@ -239,12 +244,14 @@ class SetDistanceCost(SeparableCost):
         a = np.asarray(a_seq, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("a_seq must be a nonempty 1-d sequence")
-        if np.any(a < 0) or np.any(a > 1):
+        if not np.all((a >= 0) & (a <= 1)):
             raise ValueError("a_seq entries must lie in [0, 1]")
         center = np.asarray(center, dtype=float).ravel()
+        if not np.isfinite(center).all():
+            raise ValueError("center contains non-finite entries")
         radius = float(radius)
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         a.setflags(write=False)
         center.setflags(write=False)
         self.a_seq = a
@@ -526,21 +533,32 @@ def _game_certifies(sys, costs, N, starts, c):
     return ok
 
 
-def _exact_quadratic_upper(sys, costs, N):
-    """(alpha_hi, gamma_bar_sq) of the quadratic model: the maxima over every
-    window start of lambda_max of its value form's x- and w-blocks
-    (quadratic_value_form), each plus the cross term ||P_xw||_2.
+def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> tuple:
+    """Constants (alpha_hi, gamma_bar_sq) with V_t(x, w) <= alpha_hi*sigma(x) + gamma_bar_sq*sum||w_k||^2.
 
-    The LQR sweep gives every window's lambda_max(P_xx) and cross term, so
-    alpha_hi is its largest sum. For gamma_bar_sq, the window with the
-    largest cross term among those left gets the dense form and eigvalsh of
-    its w-block, and a game sweep at each window's level (running maximum
-    less its cross term) drops the windows it certifies; this repeats until
-    no window is left. Windows that tie the maximum, as under time-invariant
-    weights, are never certified, but windows with equal horizon and stage
-    weights have bitwise-equal value forms, so each distinct weight slice
-    gets one dense form.
+    Only quadratic costs have them: V_t is a quadratic form in (x, w), and
+    the constants are the maxima over every window start of lambda_max of
+    its value form's x- and w-blocks (quadratic_value_form), each plus the
+    cross term ||P_xw||_2. An LQR sweep over all window starts at once gives
+    every window's lambda_max(P_xx) and cross term, so alpha_hi is its
+    largest sum. For gamma_bar_sq, the window with the largest cross term
+    among those left gets the dense value form and eigvalsh of its w-block,
+    and a game sweep at each window's level (running maximum less its cross
+    term) drops the windows whose c*I - P_ww it certifies positive definite;
+    this repeats until no window is left. Windows that tie the maximum, as
+    under time-invariant weights, are never certified, but windows with
+    equal horizon and stage weights have bitwise-equal value forms, so each
+    distinct weight slice gets one dense form. A non-finite sweep or value
+    form, or a stage pivot without a Cholesky factor, raises ValueError
+    naming its window start.
+    Any other model raises ValueError naming its class. For the shipped
+    non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
+    x* with sigma(x*) = 0.
     """
+    if not isinstance(costs, QuadraticCost):
+        raise ValueError(f"no exact envelope for {type(costs).__name__}")
+    if N < 1:
+        raise ValueError(f"horizon must be at least 1, got {N}")
     L, n = costs.length, sys.n
     lam_x, cross = _lqr_sweep(sys, costs, N)
     Q, R = costs.Q_seq, costs.R_seq
@@ -578,33 +596,6 @@ def _exact_quadratic_upper(sys, costs, N):
             live = live[~_game_certifies(sys, costs, N, live, c)]
             swept_at = gamma_sq
     return float(np.max(lam_x + cross)), gamma_sq
-
-
-def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> tuple:
-    """Constants (alpha_hi, gamma_bar_sq) with V_t(x, w) <= alpha_hi*sigma(x) + gamma_bar_sq*sum||w_k||^2.
-
-    Only quadratic costs have them: V_t is a quadratic form in (x, w),
-    evaluated over every window start, and the constants come from block
-    eigenvalues with the cross term dominated. Two backward Riccati sweeps
-    run over all window starts at once. An LQR sweep gives every window's
-    lambda_max(P_xx) and cross term, which give alpha_hi and the cross term
-    of every gamma_bar_sq candidate. A game sweep certifies c*I - P_ww
-    positive definite by Cholesky tests of its stage pivots' Schur
-    complements, and only the windows it cannot exclude get the dense value
-    form, from one more Riccati sweep over the window, and eigenvalues of
-    its w-block, so gamma_bar_sq equals the maximum over every window of
-    those eigenvalues plus the sweep's cross term. A non-finite sweep or
-    value form, or a stage pivot without a Cholesky factor, raises
-    ValueError naming its window start.
-    Any other model raises ValueError naming its class. For the shipped
-    non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
-    x* with sigma(x*) = 0.
-    """
-    if not isinstance(costs, QuadraticCost):
-        raise ValueError(f"no exact envelope for {type(costs).__name__}")
-    if N < 1:
-        raise ValueError(f"horizon must be at least 1, got {N}")
-    return _exact_quadratic_upper(sys, costs, N)
 
 
 def estimate_params(sys: LinearSystem, costs: CostModel, N: int) -> EnvelopeParams:

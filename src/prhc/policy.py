@@ -142,11 +142,6 @@ def run_policy(
         W = len(sched.t_list)
         starts = np.array(sched.t_list) - 1
         K, f = _solver._window_laws(sys, costs, w_full.w, starts, sched.N)
-        finite = np.isfinite(K).all(axis=(0, 2, 3)) & np.isfinite(f).all(axis=(0, 2))
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise RuntimeError(f"solver failed on interval {i + 1} starting at "
-                               f"t={sched.t_list[i]}: non-finite window law")
         # step t applies the law of its window at offset t - start
         win = np.repeat(np.arange(W), [sched.applied_at(i) for i in range(W)])
         off = np.arange(T) - starts[win]

@@ -91,7 +91,8 @@ class HorizonSolution:
     max|g| <= grad_tol, or the line search's expected decrease step*|g'd|
     fell to 4 eps |value|, the rounding of the value, where no step can
     show a decrease. A stop at max_iters reads False. The exact
-    quadratic paths always set it. It does not tell a minimizer from
+    quadratic paths set it, and raise ValueError rather than return a
+    window law that is not finite. It does not tell a minimizer from
     another stationary point: on a custom non-convex model such as the
     double well (u - 1)^2 (u + 2)^2, the descent from u0 = -3 stops at the
     local maximum u = -1/2 with value 5.0625, against a window minimum of
@@ -302,7 +303,8 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     s of the cost-to-go, with s_h = 0: g = Lam_{k+1} w_{t0+k} + s_{k+1},
     f_k = U_k^-1 B'g and s_k = A_cl,k'(g - Lam_{k+1} B f_k) + K_k'R_k f_k.
     Offsets past a window's horizon keep K = f = 0. A U_k without a Cholesky
-    factor raises ValueError naming its window start.
+    factor, or a window whose K or f is not finite, raises ValueError naming
+    its window start.
     """
     A, B = sys.A, sys.B
     n, m, L, W = sys.n, sys.m, costs.length, len(starts)
@@ -323,6 +325,10 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
         lam[:a] = new
         K[k, :a] = K_k
         f[k, :a] = f_k[..., 0]
+    bad = np.flatnonzero(~(np.isfinite(K).all(axis=(0, 2, 3))
+                           & np.isfinite(f).all(axis=(0, 2))))
+    if bad.size:
+        raise ValueError(f"law of the window from start {starts[bad[0]]} is not finite")
     return K, f
 
 

@@ -16,7 +16,6 @@ from prhc.costs import EnvelopeParams, NonConvexCost, QuadraticCost, quadratic_v
 from prhc.harness import ScenarioConfig, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem
 from prhc.policy import build_schedule, run_policy
-from prhc.solver import HorizonProblem, solve
 
 
 def make_params(beta, gamma=1.0):
@@ -229,20 +228,6 @@ class TestRecursionAudit:
         np.testing.assert_allclose(
             slacks, self.reference_slacks(res, params, sc.w_full, values), rtol=1e-9)
 
-    def test_non_quadratic_windows_solved_one_by_one(self):
-        rng = np.random.default_rng(6)
-        sys = LinearSystem(A=rng.uniform(0, 0.3, (2, 2)), B=[[1.0], [1.0]])
-        costs = NonConvexCost(b=0.2)
-        w = DisturbanceSequence.from_array(rng.uniform(0, 0.5, (12, 2)))
-        res = run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 4, 12))
-        params = make_params(0.6)
-        values = {t: solve(HorizonProblem(sys=sys, x0=res.traj.states[t - 1], costs=costs,
-                                          t0=t - 1, w_preview=w.window(t - 1, t + 5),
-                                          N=6)).value
-                  for t in (1, 3, 5, 7)}
-        slacks = recursion_audit(res, params, sys, costs, w)
-        assert slacks == self.reference_slacks(res, params, w, values)
-
     def test_no_full_pairs_gives_empty_audit(self):
         rng = np.random.default_rng(5)
         sys = LinearSystem(A=rng.uniform(0, 0.3, (2, 2)), B=[[1.0], [1.0]])
@@ -260,3 +245,12 @@ class TestRecursionAudit:
         res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
         with pytest.raises(ValueError, match="no envelope for QuadraticCost"):
             recursion_audit(res, None, sc.sys, sc.costs, sc.w)
+
+        # made-up constants do not give a non-quadratic model an envelope
+        rng = np.random.default_rng(6)
+        sys = LinearSystem(A=rng.uniform(0, 0.3, (2, 2)), B=[[1.0], [1.0]])
+        costs = NonConvexCost(b=0.2)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 0.5, (12, 2)))
+        res = run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 4, 12))
+        with pytest.raises(ValueError, match="no envelope for NonConvexCost"):
+            recursion_audit(res, make_params(0.6), sys, costs, w)

@@ -476,6 +476,28 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="radius"):
             SetDistanceCost([0.5], center=[0.0], radius=0.0)
 
+    @pytest.mark.parametrize("model, kwargs, match", [
+        (QuadraticCost, dict(Q_seq=[np.eye(2), [[1.0, 0.0], [0.0, np.nan]]],
+                             R_seq=[[[1.0]]] * 2), r"Q_seq\[1\] contains non-finite"),
+        (QuadraticCost, dict(Q_seq=[[[np.inf]]] * 2, R_seq=[[[1.0]]] * 2),
+         r"Q_seq\[0\] contains non-finite"),
+        (QuadraticCost, dict(Q_seq=[[[1.0]]] * 2, R_seq=[[[1.0]], [[np.nan]]]),
+         r"R_seq\[1\] contains non-finite"),
+        (QuadraticCost, dict(Q_seq=[[[1.0]]] * 2, R_seq=[[[np.inf]], [[1.0]]]),
+         r"R_seq\[0\] contains non-finite"),
+        (SetDistanceCost, dict(a_seq=[0.5, np.nan], center=[0.0], radius=0.5),
+         r"\[0, 1\]"),
+        (SetDistanceCost, dict(a_seq=[0.5], center=[np.nan], radius=0.5), "center"),
+        (SetDistanceCost, dict(a_seq=[0.5], center=[0.0], radius=np.nan), "radius"),
+        (SetDistanceCost, dict(a_seq=[0.5], center=[0.0], radius=np.inf), "radius"),
+        (NonConvexCost, dict(b=np.nan), "b must be finite"),
+        (NonConvexCost, dict(b=np.inf), "b must be finite"),
+    ], ids=["Q-nan", "Q-inf", "R-nan", "R-inf", "a_seq-nan", "center-nan",
+            "radius-nan", "radius-inf", "b-nan", "b-inf"])
+    def test_non_finite_parameters_rejected(self, model, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            model(**kwargs)
+
 
 class TestEstimateParams:
     def test_quadratic_bundle_certified(self):

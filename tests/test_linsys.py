@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -160,34 +157,6 @@ def test_stack_maps_are_read_only():
     for arr in (sd.F, sd.G, sd.H):
         with pytest.raises(ValueError):
             arr[-1, 0] = 1.0
-
-
-def test_threads_sharing_a_system_get_correct_stacks():
-    rng = np.random.default_rng(7)
-    sys_ = random_system(rng, 2, 1)
-    fresh = {N: stack_dynamics(LinearSystem(A=sys_.A, B=sys_.B), N) for N in range(1, 13)}
-    orders = [rng.permutation(np.arange(1, 13)).tolist() * 5 for _ in range(8)]
-    wrong = []
-
-    def worker(order):
-        for N in order:
-            sd = stack_dynamics(sys_, N)
-            if not (np.array_equal(sd.F, fresh[N].F) and np.array_equal(sd.G, fresh[N].G)
-                    and np.array_equal(sd.H, fresh[N].H)):
-                wrong.append(N)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 def test_stacked_prediction_matches_rollout():

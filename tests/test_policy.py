@@ -237,14 +237,15 @@ class TestRunPolicy:
 
     def test_non_finite_window_law_reports_interval(self, monkeypatch):
         # a NaN stage weight reaches the laws of the windows that cover it
-        # and no earlier ones, so the first such window is interval 2
+        # and no earlier ones, so the first such window is interval 2, whose
+        # 0-based start is 2
         sys = LinearSystem(A=[[0.5]], B=[[1.0]])
         costs = scalar_quad(6)
         Q = costs.Q_seq.copy()
         Q[3] = np.nan
         monkeypatch.setattr(costs, "Q_seq", Q)
         w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
-        with pytest.raises(RuntimeError, match="interval 2 starting at t=3"):
+        with pytest.raises(ValueError, match="window from start 2 is not finite"):
             run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6))
 
     def test_normal_matrix_without_cholesky_factor_names_its_window_start(

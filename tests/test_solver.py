@@ -523,6 +523,18 @@ class TestDispatch:
             assert sol.value == horizon_objective(p, sol.u_opt)
             assert sol.value == pytest.approx(solve_quadratic(p).value, rel=1e-12)
 
+    def test_non_finite_quadratic_window_law_names_its_start(self, monkeypatch):
+        # the one-start law sweep checks its law as a policy run's does,
+        # rather than return value=nan with converged=True
+        sys = LinearSystem(A=[[0.5]], B=[[1.0]])
+        costs = scalar_quad(6)
+        Q = costs.Q_seq.copy()
+        Q[3] = np.nan
+        monkeypatch.setattr(costs, "Q_seq", Q)
+        p = make_problem(sys, costs, [1.0], np.full((3, 1), 0.1), t0=2)
+        with pytest.raises(ValueError, match="window from start 2 is not finite"):
+            solve(p)
+
     def test_quadratic_window_matches_value_form_on_unstable_system(self):
         # seed 4 at T=100 has rho(A) = 1.34; on its 60-step window the dense
         # normal equations were 7.7e-3 off z'Pz

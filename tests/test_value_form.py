@@ -431,7 +431,7 @@ def test_every_dense_form_gets_its_w_block_eigvalsh(monkeypatch):
     monkeypatch.setattr(costs_mod, "quadratic_value_form", form)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "norm", norm)
-    upper = costs_mod._exact_quadratic_upper(sc.sys, sc.costs, sc.N)
+    upper = estimate_gamma_alpha_upper(sc.sys, sc.costs, sc.N)
     monkeypatch.undo()
     assert upper == reference
     assert dense and len(dense) == len(set(dense))  # one value form per window
