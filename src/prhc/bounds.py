@@ -41,9 +41,12 @@ def kappa(beta: float, M: int) -> float:
 def omega_op(beta: float, M: int) -> float:
     """(2 - beta + kappa(beta, M)) / (beta * (1 - 1/(beta^2 M))).
 
-    Defined only past the stability threshold M > 1/beta^2; at or below it
-    the closed-loop recursion contraction factor reaches 1 and the gain
-    coefficient diverges.
+    The package's own gain coefficient, which multiplies the window-envelope
+    constant gamma_bar_sq and tends to (2 - beta)/beta as M grows. It is not
+    the abstract's 2/beta + rho(N), which multiplies the oracle's best gain
+    under N > 4/beta^3. Defined only past the stability threshold
+    M > 1/beta^2; at or below it the closed-loop recursion contraction
+    factor reaches 1 and the gain coefficient diverges.
     """
     k = kappa(beta, M)
     denom = 1.0 - 1.0 / (beta * beta * M)
@@ -98,6 +101,10 @@ def certify(
 ) -> GainCertificate:
     """Check J against alpha_hi/(1-a)*sigma(x_1) + omega*gamma_bar_sq*energy.
 
+    This is the package's certificate, not the abstract's: it holds under
+    N >= 2M and M > 1/beta^2, with omega = omega_op(beta, M) and
+    gamma_bar_sq the window-envelope constant of params, where the abstract
+    claims (2/beta + rho(N)) times the oracle's best gain for N > 4/beta^3.
     Failed preconditions never raise; they yield an infinite bound with
     satisfied=False so batch reports stay total. params=None means the run's
     cost has no envelope: the failed condition "envelope exists" takes the
@@ -152,16 +159,20 @@ def recursion_audit(
 
     where g2 is gamma_bar_sq and S1/S2/S3 split the disturbance energy over
     the applied segment, the overlap, and the fresh tail of the next window.
-    The window laws come from one _window_laws sweep over the full windows'
-    starts, each rolled out from its realized state. Slacks must be
-    nonnegative (within tolerance) when the envelope constants genuinely
-    dominate the window values. A run without an envelope (params=None, or
-    a model other than QuadraticCost) raises ValueError, as does a stability
-    threshold the run's M does not pass.
+    The full windows are a prefix of the schedule, so their laws are the
+    leading columns of the run's law table (RunResult.laws), each rolled
+    out from its realized state. Slacks must be nonnegative (within
+    tolerance) when the envelope constants genuinely dominate the window
+    values. A run without an envelope (params=None, or a model other than
+    QuadraticCost) raises ValueError, as do a run that keeps no law table or
+    ran on other disturbances than w_full, and a stability threshold the
+    run's M does not pass.
     """
     if params is None or not isinstance(costs, QuadraticCost):
         raise ValueError(f"no envelope for {type(costs).__name__}: the recursion "
                          f"needs finite alpha_hi and gamma_bar_sq")
+    if result.laws is None:
+        raise ValueError("the run keeps no window laws: it was not a quadratic run")
     sched = result.schedule
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)
@@ -170,12 +181,13 @@ def recursion_audit(
     full = [t for t in sched.t_list if t + N - 1 <= T]  # 1-based starts
     if len(full) < 2:
         return []  # the recursion needs a pair of full windows
+    if not np.array_equal(w_full.w[:T], result.traj.disturbances):
+        raise ValueError("w_full is not the disturbance sequence the run applied")
     states = result.traj.states
-    starts = np.array(full) - 1
-    K, f = _solver._window_laws(sys, costs, w_full.w, starts, N)
-    values = [_solver._law_rollout(sys, costs, states[t0], t0, w_full.w[t0:t0 + N],
-                                   K[:, i], f[:, i])[1]
-              for i, t0 in enumerate(starts.tolist())]
+    K, f = result.laws
+    values = [_solver._law_rollout(sys, costs, states[t - 1], t - 1,
+                                   w_full.w[t - 1:t - 1 + N], K[:, i], f[:, i])[1]
+              for i, t in enumerate(full)]
     slacks = []
     for i in range(len(full) - 1):
         t_a, t_b = full[i], full[i + 1]

@@ -44,13 +44,12 @@ __all__ = [
 # disturbance components of generated scenarios are uniform on [W_LOW, W_HIGH]
 W_LOW = 0.0
 W_HIGH = 1.0
-# relative slack of the exact envelope's game-sweep screen. A window is
-# excluded from gamma_bar_sq only below a level this fraction under the
-# running maximum less its cross term, and the game sweep certifies a window
-# at level c only where c(1 - SCREEN_MARGIN)I - Pi~ has a Cholesky factor at
-# every stage, so the rounding of the sweep and of the dense w-block
-# eigenvalues, two float64 evaluations, cannot drop a window that holds the
-# maximum
+# relative slack of the exact envelope's game-sweep screen: _game_certifies
+# steps and tests a window at level c at (1 - SCREEN_MARGIN)c, so a window
+# leaves gamma_bar_sq's search only if its lambda_max(P_ww) lies this fraction
+# below the running maximum less its cross term, and the rounding of the
+# sweep and of the dense w-block eigenvalues, two float64 evaluations, cannot
+# drop a window that holds the maximum
 SCREEN_MARGIN = 1e-6
 
 
@@ -388,6 +387,8 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
     upper triangle less V'V, for V stacking the V_k. Each block is written
     with its transpose and V'V is one product of V' with V, so P is exactly
     symmetric. A U_k without a Cholesky factor raises ValueError naming t0.
+    The sweep runs with floating-point warnings off; the caller checks that
+    P is finite.
     """
     costs.check_horizon(t0, horizon)
     A, B = sys.A, sys.B
@@ -396,19 +397,20 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
     BtG = np.zeros((h, m, n * h))  # B' Gam_k, from w-column block k on
     U = np.empty((h, m, m))
     lam = np.zeros((1, n, n))
-    for k in range(h - 1, -1, -1):
-        i, j = n * k, n * (k + 1)
-        gam = P[j:j + n, j:]
-        BtG[k, :, i:] = B.T @ gam
-        U[k:k + 1], _, Acl, lam = _riccati_step(
-            A, B, costs.Q_seq[t0 + k:t0 + k + 1], costs.R_seq[t0 + k:t0 + k + 1],
-            lam, (t0,))
-        S = Acl[0].T @ gam
-        P[i:j, i:j] = lam[0]
-        P[i:j, j:] = S
-        P[j:, i:j] = S.T
-    V = (np.linalg.inv(np.linalg.cholesky(U)) @ BtG).reshape(m * h, n * h)
-    P[n:, n:] -= V.T @ V
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(h - 1, -1, -1):
+            i, j = n * k, n * (k + 1)
+            gam = P[j:j + n, j:]
+            BtG[k, :, i:] = B.T @ gam
+            U[k:k + 1], _, Acl, lam = _riccati_step(
+                A, B, costs.Q_seq[t0 + k:t0 + k + 1], costs.R_seq[t0 + k:t0 + k + 1],
+                lam, (t0,))
+            S = Acl[0].T @ gam
+            P[i:j, i:j] = lam[0]
+            P[i:j, j:] = S
+            P[j:, i:j] = S.T
+        V = (np.linalg.inv(np.linalg.cholesky(U)) @ BtG).reshape(m * h, n * h)
+        P[n:, n:] -= V.T @ V
     return P
 
 
@@ -464,20 +466,22 @@ def _lqr_sweep(sys, costs, N):
     with Gram_h = 0. At offset k the live starts are t0 < L - k, whose
     weights are Q_seq[k:L]; a start joins the prefix with Lam = Gram = 0. A
     U_k without a Cholesky factor, or a non-finite Lam_0 or Gram_0, raises
-    ValueError naming the window start.
+    ValueError naming the window start, with floating-point warnings off in
+    the sweep so that an overflow reaches that check in every warning mode.
     """
     A, B = sys.A, sys.B
     L, n = costs.length, sys.n
     starts = np.arange(L)
     lam = np.zeros((L, n, n))
     gram = np.zeros((L, n, n))
-    for k in range(min(N, L) - 1, -1, -1):
-        a = L - k
-        Lam = lam[:a]
-        _, _, Acl, new = _riccati_step(A, B, costs.Q_seq[k:], costs.R_seq[k:], Lam,
-                                       starts)
-        gram[:a] = Acl.transpose(0, 2, 1) @ (Lam @ Lam + gram[:a]) @ Acl
-        lam[:a] = new
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(min(N, L) - 1, -1, -1):
+            a = L - k
+            Lam = lam[:a]
+            _, _, Acl, new = _riccati_step(A, B, costs.Q_seq[k:], costs.R_seq[k:],
+                                           Lam, starts)
+            gram[:a] = Acl.transpose(0, 2, 1) @ (Lam @ Lam + gram[:a]) @ Acl
+            lam[:a] = new
     bad = np.flatnonzero(~(np.isfinite(lam).all(axis=(1, 2))
                            & np.isfinite(gram).all(axis=(1, 2))))
     if bad.size:
@@ -487,49 +491,52 @@ def _lqr_sweep(sys, costs, N):
 
 
 def _game_certifies(sys, costs, N, starts, c):
-    """True where the sweep certifies lambda_max(P_ww) < c for the window
-    from starts[i] (ascending) at its own level c[i].
+    """True where the sweep certifies lambda_max(P_ww) < (1 - SCREEN_MARGIN)c
+    for the window from starts[i] (ascending) at its own level c[i].
 
-    The game sweep runs, with Pi = Lam^c_{k+1} and Lam^c_h = 0,
-    U_k = R_k + B'Pi B, Pi~_k = Pi - Pi B U_k^-1 B'Pi and
-    Lam^c_k = Q_k + c A'(cI - Pi~_k)^-1 Pi~_k A. With x_0 = 0,
-    sum_k x_k'Q_k x_k + u_k'R_k u_k - c||w_k||^2 is congruent to blockdiag(D_k)
-    for D_k = [[U_k, B'Pi], [Pi B, Pi - cI]], and by Sylvester's law of
-    inertia D_k has the inertia of U_k together with that of its Schur
-    complement Pi~_k - cI. When every U_k and every cI - Pi~_k is positive
-    definite the form has n*h negative directions and no zero one, which
-    holds exactly when cI - P_ww is positive definite. The stage conditions
-    are sufficient, not necessary: the stages may share the n*h negative
-    directions out unevenly, and such a window gets the dense form. A window
-    is certified only when c > 0 and, at every stage, U_k and
-    c(1 - SCREEN_MARGIN)I - Pi~_k have Cholesky factors; a window that fails
-    one, or whose Lam^c is not finite, goes on with Pi = 0.
+    The sweep steps and tests at the one reduced level c' = (1 - SCREEN_MARGIN)c.
+    It runs, with Pi = Lam_{k+1} and Lam_h = 0, U_k = R_k + B'Pi B,
+    Pi~_k = Pi - Pi B U_k^-1 B'Pi and Lam_k = Q_k + c' A'S_k^-1 Pi~_k A for
+    S_k = c'I - Pi~_k, the finite-horizon soft-constrained game recursion
+    (Basar & Bernhard, H-infinity-Optimal Control and Related Minimax Design
+    Problems, 1995). With x_0 = 0, sum_k x_k'Q_k x_k + u_k'R_k u_k - c'||w_k||^2
+    is congruent to blockdiag(D_k) for D_k = [[U_k, B'Pi], [Pi B, Pi - c'I]],
+    and by Sylvester's law of inertia D_k has the inertia of U_k together
+    with that of its Schur complement -S_k. When every U_k and every S_k is
+    positive definite the form has n*h negative directions and no zero one,
+    which holds exactly when c'I - P_ww is positive definite. The stage
+    conditions are sufficient, not necessary: the stages may share the n*h
+    negative directions out unevenly, and such a window gets the dense form.
+    A window is certified only when c > 0 and, at every stage, U_k and S_k
+    have Cholesky factors; a window that fails one, or whose Lam is not
+    finite, goes on with Pi = 0. The sweep runs with floating-point warnings
+    off, as a failing window's S_k may be near singular.
     """
     A, B = sys.A, sys.B
     L, n, m = costs.length, sys.n, sys.m
     eye = np.eye(n)
+    c = (1.0 - SCREEN_MARGIN) * c
     ok = c > 0.0
     pi = np.zeros((starts.size, n, n))
-    for k in range(min(N, L) - 1, -1, -1):
-        a = int(np.searchsorted(starts, L - k))
-        t = starts[:a] + k
-        ca = c[:a, None, None]
-        Pi = pi[:a]
-        PiB = Pi @ B
-        U = costs.R_seq[t] + B.T @ PiB
-        live = ok[:a] & _has_cholesky(U)
-        U[~live] = np.eye(m)
-        Pit = Pi - PiB @ np.linalg.solve(U, PiB.transpose(0, 2, 1))
-        margin = (1.0 - SCREEN_MARGIN) * ca * eye - Pit
-        margin[~live] = eye
-        live &= _has_cholesky(margin)
-        S = ca * eye - Pit
-        S[~live] = eye
-        new = costs.Q_seq[t] + ca * (A.T @ np.linalg.solve(S, Pit @ A))
-        live &= np.isfinite(new).all(axis=(1, 2))
-        new[~live] = 0.0
-        ok[:a] = live
-        pi[:a] = 0.5 * (new + new.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(min(N, L) - 1, -1, -1):
+            a = int(np.searchsorted(starts, L - k))
+            t = starts[:a] + k
+            ca = c[:a, None, None]
+            Pi = pi[:a]
+            PiB = Pi @ B
+            U = costs.R_seq[t] + B.T @ PiB
+            live = ok[:a] & _has_cholesky(U)
+            U[~live] = np.eye(m)
+            Pit = Pi - PiB @ np.linalg.solve(U, PiB.transpose(0, 2, 1))
+            S = ca * eye - Pit
+            S[~live] = eye
+            live &= _has_cholesky(S)
+            new = costs.Q_seq[t] + ca * (A.T @ np.linalg.solve(S, Pit @ A))
+            live &= np.isfinite(new).all(axis=(1, 2))
+            new[~live] = 0.0
+            ok[:a] = live
+            pi[:a] = 0.5 * (new + new.transpose(0, 2, 1))
     return ok
 
 
@@ -543,14 +550,15 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> t
     every window's lambda_max(P_xx) and cross term, so alpha_hi is its
     largest sum. For gamma_bar_sq, the window with the largest cross term
     among those left gets the dense value form and eigvalsh of its w-block,
-    and a game sweep at each window's level (running maximum less its cross
-    term) drops the windows whose c*I - P_ww it certifies positive definite;
-    this repeats until no window is left. Windows that tie the maximum, as
-    under time-invariant weights, are never certified, but windows with
-    equal horizon and stage weights have bitwise-equal value forms, so each
-    distinct weight slice gets one dense form. A non-finite sweep or value
-    form, or a stage pivot without a Cholesky factor, raises ValueError
-    naming its window start.
+    and a game sweep (_game_certifies) at each window's level, the running
+    maximum less its cross term, drops every window whose lambda_max(P_ww)
+    it certifies lies a relative SCREEN_MARGIN below that level; this
+    repeats until no window is left. Windows
+    that tie the maximum, as under time-invariant weights, are never
+    certified, but windows with equal stage weights have bitwise-equal
+    value forms, so each distinct weight slice gets one dense form. A
+    non-finite sweep or value form, or a stage pivot without a Cholesky
+    factor, raises ValueError naming its window start.
     Any other model raises ValueError naming its class. For the shipped
     non-quadratic models no finite pair exists: V_t(x*, 0) > 0 at a state
     x* with sigma(x*) = 0.
@@ -562,24 +570,21 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> t
     L, n = costs.length, sys.n
     lam_x, cross = _lqr_sweep(sys, costs, N)
     Q, R = costs.Q_seq, costs.R_seq
-    built = {}  # horizon -> (start, lambda_max(P_ww)) of every value form built
+    built = {}  # Q and R weight bytes of a window -> lambda_max(P_ww) of its form
 
     def top_w(t0):
-        # a window reuses the w-block eigenvalue of a built one with the same
-        # horizon and weight bits, whose value form is bitwise equal
+        # the byte length fixes the horizon, so equal keys mean bitwise-equal
+        # value forms
         h = min(N, L - t0)
-        for s, found in built.get(h, ()):
-            if (Q[s:s + h].tobytes() == Q[t0:t0 + h].tobytes()
-                    and R[s:s + h].tobytes() == R[t0:t0 + h].tobytes()):
-                return found
-        P = quadratic_value_form(sys, costs, t0, h)
-        if not np.isfinite(P).all():
-            raise ValueError(f"value form of the window from start {t0} is not finite")
-        # w_{h-1} reaches no costed state, so the w-block's last block row
-        # and column are zero; they add only a zero eigenvalue
-        lam_w = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
-        built.setdefault(h, []).append((t0, lam_w))
-        return lam_w
+        key = (Q[t0:t0 + h].tobytes(), R[t0:t0 + h].tobytes())
+        if key not in built:
+            P = quadratic_value_form(sys, costs, t0, h)
+            if not np.isfinite(P).all():
+                raise ValueError(f"value form of the window from start {t0} is not finite")
+            # w_{h-1} reaches no costed state, so the w-block's last block row
+            # and column are zero; they add only a zero eigenvalue
+            built[key] = float(np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0))
+        return built[key]
 
     gamma_sq = 0.0
     live = np.arange(L)
@@ -592,8 +597,7 @@ def estimate_gamma_alpha_upper(sys: LinearSystem, costs: CostModel, N: int) -> t
         # certification depends on gamma_sq alone, so a window the last
         # sweep kept stays kept until gamma_sq moves
         if live.size and gamma_sq != swept_at:
-            c = (gamma_sq - cross[live]) * (1.0 - SCREEN_MARGIN)
-            live = live[~_game_certifies(sys, costs, N, live, c)]
+            live = live[~_game_certifies(sys, costs, N, live, gamma_sq - cross[live])]
             swept_at = gamma_sq
     return float(np.max(lam_x + cross)), gamma_sq
 

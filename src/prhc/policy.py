@@ -67,13 +67,17 @@ class RunResult:
     interval_solutions holds one WindowStop per window, not the window's
     plan; the applied inputs are in traj. The field keeps its name because
     the benchmark's tracer counts it and its contract test pins it, so a
-    rename waits for the next change to the benchmark.
+    rename waits for the next change to the benchmark. A quadratic run
+    keeps its law table in laws, the (K, f) of solver._window_laws over the
+    schedule's window starts, which recursion_audit reads; other runs keep
+    None.
     """
 
     traj: Trajectory
     J: float
     interval_solutions: tuple
     schedule: RhcSchedule
+    laws: tuple | None = None
 
 
 def build_schedule(N: int, M: int, T: int) -> RhcSchedule:
@@ -148,7 +152,9 @@ def run_policy(
         inputs = -f[off, win]
         states = _propagate(sys, x, inputs, w_full.w[:T], K[off, win])
         stops = (WindowStop(converged=True, iterations=0),) * W
+        laws = (K, f)
     else:
+        laws = None
         states = np.empty((T + 1, sys.n))
         inputs = np.empty((T, sys.m))
         stops = []
@@ -172,6 +178,7 @@ def run_policy(
         J=J,
         interval_solutions=tuple(stops),
         schedule=sched,
+        laws=laws,
     )
 
 

@@ -304,7 +304,8 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     f_k = U_k^-1 B'g and s_k = A_cl,k'(g - Lam_{k+1} B f_k) + K_k'R_k f_k.
     Offsets past a window's horizon keep K = f = 0. A U_k without a Cholesky
     factor, or a window whose K or f is not finite, raises ValueError naming
-    its window start.
+    its window start, with floating-point warnings off in the sweep so that
+    an overflow reaches that check in every warning mode.
     """
     A, B = sys.A, sys.B
     n, m, L, W = sys.n, sys.m, costs.length, len(starts)
@@ -312,19 +313,20 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     f = np.zeros((N, W, m))
     lam = np.zeros((W, n, n))
     s = np.zeros((W, n, 1))
-    for k in range(N - 1, -1, -1):
-        a = int(np.searchsorted(starts, L - k))
-        t = starts[:a] + k
-        Lam = lam[:a]
-        R = costs.R_seq[t]
-        U, K_k, Acl, new = _riccati_step(A, B, costs.Q_seq[t], R, Lam, starts[:a])
-        g = Lam @ w[t][..., None] + s[:a]
-        f_k = np.linalg.solve(U, B.T @ g)
-        s[:a] = (Acl.transpose(0, 2, 1) @ (g - Lam @ (B @ f_k))
-                 + K_k.transpose(0, 2, 1) @ (R @ f_k))
-        lam[:a] = new
-        K[k, :a] = K_k
-        f[k, :a] = f_k[..., 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(N - 1, -1, -1):
+            a = int(np.searchsorted(starts, L - k))
+            t = starts[:a] + k
+            Lam = lam[:a]
+            R = costs.R_seq[t]
+            U, K_k, Acl, new = _riccati_step(A, B, costs.Q_seq[t], R, Lam, starts[:a])
+            g = Lam @ w[t][..., None] + s[:a]
+            f_k = np.linalg.solve(U, B.T @ g)
+            s[:a] = (Acl.transpose(0, 2, 1) @ (g - Lam @ (B @ f_k))
+                     + K_k.transpose(0, 2, 1) @ (R @ f_k))
+            lam[:a] = new
+            K[k, :a] = K_k
+            f[k, :a] = f_k[..., 0]
     bad = np.flatnonzero(~(np.isfinite(K).all(axis=(0, 2, 3))
                            & np.isfinite(f).all(axis=(0, 2))))
     if bad.size:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import prhc.solver
 from family import compliant_quadratic_scenario
 from prhc.bounds import (
     GainCertificate,
@@ -227,6 +228,32 @@ class TestRecursionAudit:
         assert len(slacks) == 4
         np.testing.assert_allclose(
             slacks, self.reference_slacks(res, params, sc.w_full, values), rtol=1e-9)
+
+    def test_reads_the_runs_law_table(self, monkeypatch):
+        # the full windows are a prefix of the schedule, so the audit slices
+        # the run's laws and sweeps none of its own
+        sc = compliant_quadratic_scenario(0, spike=True)
+        res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+        sweeps = []
+        real = prhc.solver._window_laws
+
+        def counting(*args):
+            sweeps.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(prhc.solver, "_window_laws", counting)
+        assert recursion_audit(res, sc.params, sc.sys, sc.costs, sc.w)
+        assert sweeps == []
+
+    def test_rejects_a_run_without_its_laws(self):
+        sc = compliant_quadratic_scenario(0, spike=True)
+        res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+        other = DisturbanceSequence.from_array(sc.w.w[::-1])
+        with pytest.raises(ValueError, match="not the disturbance sequence"):
+            recursion_audit(res, sc.params, sc.sys, sc.costs, other)
+        res.laws = None
+        with pytest.raises(ValueError, match="keeps no window laws"):
+            recursion_audit(res, sc.params, sc.sys, sc.costs, sc.w)
 
     def test_no_full_pairs_gives_empty_audit(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Window solver: exact quadratic path, descent path, adjoint gradients."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from prhc.costs import (
     QuadraticCost,
     SetDistanceCost,
     estimate_alpha_lower,
+    estimate_params,
     quadratic_value_form,
 )
 from prhc.harness import ScenarioConfig, gen_scenario
@@ -534,6 +536,24 @@ class TestDispatch:
         p = make_problem(sys, costs, [1.0], np.full((3, 1), 0.1), t0=2)
         with pytest.raises(ValueError, match="window from start 2 is not finite"):
             solve(p)
+
+    @pytest.mark.parametrize("mode", ["always", "error"])
+    def test_overflowing_sweeps_name_their_window_in_every_warning_mode(self, mode):
+        # A = 1e120 overflows the first Riccati stages; the sweeps run with
+        # floating-point warnings off, so the finiteness checks at their ends
+        # name the window whether or not warnings are errors
+        sys = LinearSystem(A=[[1e120]], B=[[1.0]])
+        costs = scalar_quad(8)
+        p = make_problem(sys, costs, [0.0], np.full((8, 1), 0.1))
+        calls = [(solve, (p,), "law of the window from start 0 is not finite"),
+                 (estimate_params, (sys, costs, 8),
+                  "value form of the window from start 0 is not finite")]
+        for call, args, message in calls:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter(mode)
+                with pytest.raises(ValueError, match=message):
+                    call(*args)
+            assert seen == []
 
     def test_quadratic_window_matches_value_form_on_unstable_system(self):
         # seed 4 at T=100 has rho(A) = 1.34; on its 60-step window the dense

@@ -249,10 +249,11 @@ def growing_case():
 
 
 def assert_sweeps_agree(sys, costs, N, starts):
-    # the LQR sweep's lambda_max(P_xx) and cross term against the value form
-    # to 1e-13 relative, and the game sweep's screen at levels below and
-    # above each window's lambda_max(P_ww), down to 1e-7 relative: it must
-    # never certify a level at or below it
+    """The LQR sweep's lambda_max(P_xx) and cross term against the value
+    form to 1e-13 relative, and the game sweep's screen at levels below and
+    above each window's lambda_max(P_ww), down to 1e-7 relative: it must
+    never certify a level at or below it, nor any level up to SCREEN_MARGIN/2
+    above it. Returns the windows' lambda_max(P_ww)."""
     n, L = sys.n, costs.length
     lam_x, cross = costs_mod._lqr_sweep(sys, costs, N)
     lam_w = np.empty(len(starts))
@@ -264,14 +265,18 @@ def assert_sweeps_agree(sys, costs, N, starts):
         assert abs(lam_x[t0] - ref_x) <= 1e-13 * ref_x
         assert abs(cross[t0] - ref_cross) <= 1e-13 * max(ref_cross, ref_x)
         lam_w[i] = np.linalg.eigvalsh(P[n:n * h, n:n * h]).max(initial=0.0)
-    for r in (0.9, 0.999999, 1 - 1e-7, 1 + 1e-7, 1.000001, 1.1):
+    half = 1 + costs_mod.SCREEN_MARGIN / 2
+    for r in (0.9, 0.999999, 1 - 1e-7, 1, 1 + 1e-7, half, 1.000001, 1.1):
         c = r * lam_w
         certified = costs_mod._game_certifies(sys, costs, N, starts, c)
         assert not np.any(certified & (lam_w >= c))
+        if r <= half:
+            assert not np.any(certified)
     # one level for all windows, between two of their lambda_max(P_ww)
     c = np.full(len(starts), np.median(lam_w))
     certified = costs_mod._game_certifies(sys, costs, N, starts, c)
     assert not np.any(certified & (lam_w >= c))
+    return lam_w
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -288,7 +293,12 @@ def test_sweeps_agree_with_the_value_form_at_benchmark_size():
     sc = gen_scenario(4, ScenarioConfig(cost_kind="quadratic", n=8, m=1, T=192,
                                         N=48, a_high=0.25))
     assert np.max(np.abs(np.linalg.eigvals(sc.sys.A))) > 1.15
-    assert_sweeps_agree(sc.sys, sc.costs, sc.N, np.arange(0, sc.T, 11))
+    starts = np.arange(0, sc.T, 11)
+    lam_w = assert_sweeps_agree(sc.sys, sc.costs, sc.N, starts)
+    # and the screen is complete there: two margins above its lambda_max(P_ww),
+    # every sampled window is certified
+    c = (1 + 2 * costs_mod.SCREEN_MARGIN) * lam_w
+    assert costs_mod._game_certifies(sc.sys, sc.costs, sc.N, starts, c).all()
 
 
 def test_every_full_window_a_new_record_falls_back_to_eigvalsh(counted_envelope):
