@@ -26,14 +26,37 @@ __all__ = [
 BOUND_REL_TOL = 1e-9       # relative slack allowed on J vs certified bound
 
 
-def kappa(beta: float, M: int) -> float:
-    """3/(beta*M) + 1/(beta*M)^2 - 1/M."""
-    if beta <= 0:
+def _gap(beta: float, M: int) -> float:
+    """The contraction gap g = 1 - a = beta*(1 - 1/(beta^2 M)) of the
+    certificate's constants, 0 < beta <= 1 and M >= 1.
+
+    The one stability test, M > 1/beta^2, is made here on the number the
+    gain bound divides by: it holds when a = 1 - g rounds below 1, so no
+    caller divides by a gap that rounding has erased. Within a few ulps of
+    the threshold this can disagree with M*beta^2 > 1 evaluated directly.
+    """
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if beta > 1:
         raise ValueError(f"beta must not exceed 1, got {beta}")
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
+    g = beta * (1.0 - 1.0 / (beta * beta * M))
+    if not 1.0 - g < 1.0:
+        raise ValueError(
+            f"stability threshold violated: requires M > 1/beta^2 = "
+            f"{1.0 / (beta * beta):.6g}, got M={M}"
+        )
+    return g
+
+
+def kappa(beta: float, M: int) -> float:
+    """3/(beta*M) + 1/(beta*M)^2 - 1/M, the finite-overlap term of omega_op.
+
+    It takes omega_op's constants: 0 < beta <= 1 and M past the stability
+    threshold M > 1/beta^2, and raises ValueError elsewhere.
+    """
+    _gap(beta, M)
     bm = beta * M
     return 3.0 / bm + 1.0 / (bm * bm) - 1.0 / M
 
@@ -44,36 +67,19 @@ def omega_op(beta: float, M: int) -> float:
     The package's own gain coefficient, which multiplies the window-envelope
     constant gamma_bar_sq and tends to (2 - beta)/beta as M grows. It is not
     the abstract's 2/beta + rho(N), which multiplies the oracle's best gain
-    under N > 4/beta^3. Defined only past the stability threshold
-    M > 1/beta^2; at or below it the closed-loop recursion contraction
-    factor reaches 1 and the gain coefficient diverges.
+    under N > 4/beta^3. Defined only for 0 < beta <= 1 past the stability
+    threshold M > 1/beta^2, where the denominator, the contraction gap
+    g = 1 - a of a_factor, is positive; at or below the threshold the gain
+    coefficient diverges, and it raises ValueError.
     """
-    k = kappa(beta, M)
-    denom = 1.0 - 1.0 / (beta * beta * M)
-    if denom <= 0:
-        raise ValueError(
-            f"stability threshold violated: requires M > 1/beta^2 = "
-            f"{1.0 / (beta * beta):.6g}, got M={M}"
-        )
-    return (2.0 - beta + k) / (beta * denom)
+    return (2.0 - beta + kappa(beta, M)) / _gap(beta, M)
 
 
 def a_factor(beta: float, M: int) -> float:
     """Contraction factor a = 1 + beta*(1/(beta^2 M) - 1) of the interval
-    recursion; lies in (0, 1) exactly when M > 1/beta^2."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if beta > 1:
-        raise ValueError(f"beta must not exceed 1, got {beta}")
-    if M * beta * beta <= 1:
-        raise ValueError(
-            f"stability threshold violated: requires M > 1/beta^2 = "
-            f"{1.0 / (beta * beta):.6g}, got M={M}"
-        )
-    a = 1.0 + beta * (1.0 / (beta * beta * M) - 1.0)
-    if not (0.0 < a < 1.0):
-        raise AssertionError(f"contraction factor a={a} fell outside (0, 1)")
-    return a
+    recursion: below 1 exactly where omega_op is defined, and above 0 for
+    M < 2^53; ValueError elsewhere, as omega_op."""
+    return 1.0 - _gap(beta, M)
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,9 @@ def certify(
     Failed preconditions never raise; they yield an infinite bound with
     satisfied=False so batch reports stay total. params=None means the run's
     cost has no envelope: the failed condition "envelope exists" takes the
-    place of "M > 1/beta^2".
+    place of "M > 1/beta^2". That condition holds exactly when omega_op and
+    a_factor return; its margin is M - 1/beta^2 as computed, which can read
+    a few ulps positive where the test on the contraction gap fails.
     """
     if sched is None:
         sched = result.schedule
@@ -116,8 +124,11 @@ def certify(
     if params is None:
         envelope = ("envelope exists", False, math.nan)
     else:
-        inv_b2 = 1.0 / (params.beta * params.beta)
-        envelope = ("M > 1/beta^2", M > inv_b2, float(M - inv_b2))
+        try:
+            stable = _gap(params.beta, M) > 0
+        except ValueError:
+            stable = False
+        envelope = ("M > 1/beta^2", stable, float(M - 1.0 / (params.beta * params.beta)))
     conditions = (("N >= 2M", N >= 2 * M, float(N - 2 * M)), envelope)
     energy = float(np.sum(result.traj.disturbances ** 2))
     gain = result.J / energy if energy > 0 else float("nan")
@@ -164,15 +175,20 @@ def recursion_audit(
     out from its realized state. Slacks must be nonnegative (within
     tolerance) when the envelope constants genuinely dominate the window
     values. A run without an envelope (params=None, or a model other than
-    QuadraticCost) raises ValueError, as do a run that keeps no law table or
-    ran on other disturbances than w_full, and a stability threshold the
-    run's M does not pass.
+    QuadraticCost) raises ValueError, as do a run that keeps no law table,
+    a sys or costs other than the objects the run was given, a w_full other
+    than the disturbances it applied, and a stability threshold the run's M
+    does not pass.
     """
     if params is None or not isinstance(costs, QuadraticCost):
         raise ValueError(f"no envelope for {type(costs).__name__}: the recursion "
                          f"needs finite alpha_hi and gamma_bar_sq")
     if result.laws is None:
         raise ValueError("the run keeps no window laws: it was not a quadratic run")
+    if sys is not result.sys:
+        raise ValueError("sys is not the system the run applied")
+    if costs is not result.costs:
+        raise ValueError("costs is not the cost model the run applied")
     sched = result.schedule
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)

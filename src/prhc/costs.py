@@ -285,7 +285,10 @@ class EnvelopeParams:
     """Cost-envelope constants: alpha_lo <= stage costs / sigma, and the
     (alpha_hi, gamma_bar_sq) pair upper-bounding window values V_t.
 
-    beta = alpha_lo / alpha_hi. zeta >= 1/beta enters no bound; the field
+    beta = alpha_lo / alpha_hi, to 1e-12 relative, and 0 < beta <= 1
+    exactly: the range bounds.omega_op and bounds.a_factor take, so
+    bounds.certify returns on every accepted instance. from_alphas clamps
+    beta to 1. zeta >= 1/beta enters no bound; the field
     and its checks stay because acceptance check A2 constructs EnvelopeParams
     with it.
     Only the quadratic model has such constants, and estimate_params computes
@@ -312,9 +315,9 @@ class EnvelopeParams:
             raise ValueError(
                 f"beta={self.beta!r} does not equal alpha_lo/alpha_hi={ratio!r}"
             )
-        if self.beta > 1.0 + 1e-12:
+        if self.beta > 1.0:
             raise ValueError(f"beta must not exceed 1, got {self.beta}")
-        if self.beta <= 0:
+        if not (self.beta > 0):
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not (self.zeta > 1.0):
             raise ValueError(f"zeta must exceed 1, got {self.zeta}")

@@ -396,81 +396,84 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     A_T = sc.sys.A.T
     w = sc.w_full.w
     costs = sc.costs
-    inputs = [np.stack(np.meshgrid(*axes[t * m:(t + 1) * m], indexing="ij"),
-                       axis=-1).reshape(-1, m) for t in range(T)]
-    lifts = [u @ sc.sys.B.T for u in inputs[:-1]]
-    # per stage: (prefix rows, inputs) of a block, and buffers for its largest
-    # block; a stage's prefixes are at most one block of the stage before
-    blocks = [(max(1, EVAL_CHUNK // len(u)), min(len(u), EVAL_CHUNK)) for u in inputs]
-    vals_buf = []
-    size = 1
-    for rows, cols in blocks:
-        size = min(rows, size) * cols
-        vals_buf.append(np.empty(size))
-    x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
-    # a separable model's last-stage input terms, with their first argmin,
-    # where the inputs fit one column block and all their terms are finite;
-    # tall is the last stage's tall row-block height, 0 where it keeps its
-    # pair blocks
-    g_last = None
-    tall = 0
-    u_last, (rows, cols) = inputs[-1], blocks[-1]
-    if isinstance(costs, SeparableCost) and cols == len(u_last):
-        g = costs.input_cost(T - 1, u_last[None])[0]
-        if np.isfinite(g).all():
-            g_last = (g, int(np.argmin(g)))
-            tall = max(1, EVAL_CHUNK // 8 // rows) * rows
+    # warnings off: an overflow ends in an inf total or a NaN, each named
+    # below, in every warning mode
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inputs = [np.stack(np.meshgrid(*axes[t * m:(t + 1) * m], indexing="ij"),
+                           axis=-1).reshape(-1, m) for t in range(T)]
+        lifts = [u @ sc.sys.B.T for u in inputs[:-1]]
+        # per stage: (prefix rows, inputs) of a block, and buffers for its largest
+        # block; a stage's prefixes are at most one block of the stage before
+        blocks = [(max(1, EVAL_CHUNK // len(u)), min(len(u), EVAL_CHUNK)) for u in inputs]
+        vals_buf = []
+        size = 1
+        for rows, cols in blocks:
+            size = min(rows, size) * cols
+            vals_buf.append(np.empty(size))
+        x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
+        # a separable model's last-stage input terms, with their first argmin,
+        # where the inputs fit one column block and all their terms are finite;
+        # tall is the last stage's tall row-block height, 0 where it keeps its
+        # pair blocks
+        g_last = None
+        tall = 0
+        u_last, (rows, cols) = inputs[-1], blocks[-1]
+        if isinstance(costs, SeparableCost) and cols == len(u_last):
+            g = costs.input_cost(T - 1, u_last[None])[0]
+            if np.isfinite(g).all():
+                g_last = (g, int(np.argmin(g)))
+                tall = max(1, EVAL_CHUNK // 8 // rows) * rows
 
-    def scan(t, x, c):
-        # (value, prefix row, input index per stage from t on); NaN ends the scan
-        u = inputs[t]
-        last = t == T - 1
-        rows, cols = blocks[t]
-        best = (math.inf, -1, None)
-        r0 = 0
-        while r0 < len(c):
-            if last and tall and r0 % tall == 0:
-                found = _separable_min(costs, t, x[r0:r0 + tall], c[r0:r0 + tall],
-                                       *g_last)
-                if found is not None:
-                    val, flat = found
-                    if val < best[0]:
-                        row, col = divmod(flat, len(u))
-                        best = (val, r0 + row, [col])
-                    r0 += tall
-                    continue
-            xb = x[r0:r0 + rows]
-            cb = c[r0:r0 + rows]
-            if not last:
-                xA = (xb @ A_T)[:, None, :]
-            for k0 in range(0, len(u), cols):
-                ub = u[k0:k0 + cols]
-                pairs = len(cb) * len(ub)
-                vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
-                np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
-                       out=vals)
-                if last:
-                    flat = int(np.argmin(vals))
-                    val, path = float(vals.flat[flat]), []
-                else:
-                    x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
-                    np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)
-                    x_next += w[t]
-                    val, flat, path = scan(t + 1, x_next.reshape(-1, n),
-                                           vals.reshape(-1))
-                if not val >= best[0]:  # strictly smaller, or NaN
-                    row, col = divmod(flat, len(ub))
-                    best = (val, r0 + row, [k0 + col] + path)
-                    if math.isnan(val):
-                        return best
-            r0 += rows
-        return best
+        def scan(t, x, c):
+            # (value, prefix row, input index per stage from t on); NaN ends the scan
+            u = inputs[t]
+            last = t == T - 1
+            rows, cols = blocks[t]
+            best = (math.inf, -1, None)
+            r0 = 0
+            while r0 < len(c):
+                if last and tall and r0 % tall == 0:
+                    found = _separable_min(costs, t, x[r0:r0 + tall], c[r0:r0 + tall],
+                                           *g_last)
+                    if found is not None:
+                        val, flat = found
+                        if val < best[0]:
+                            row, col = divmod(flat, len(u))
+                            best = (val, r0 + row, [col])
+                        r0 += tall
+                        continue
+                xb = x[r0:r0 + rows]
+                cb = c[r0:r0 + rows]
+                if not last:
+                    xA = (xb @ A_T)[:, None, :]
+                for k0 in range(0, len(u), cols):
+                    ub = u[k0:k0 + cols]
+                    pairs = len(cb) * len(ub)
+                    vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
+                    np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
+                           out=vals)
+                    if last:
+                        flat = int(np.argmin(vals))
+                        val, path = float(vals.flat[flat]), []
+                    else:
+                        x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
+                        np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)
+                        x_next += w[t]
+                        val, flat, path = scan(t + 1, x_next.reshape(-1, n),
+                                               vals.reshape(-1))
+                    if not val >= best[0]:  # strictly smaller, or NaN
+                        row, col = divmod(flat, len(ub))
+                        best = (val, r0 + row, [k0 + col] + path)
+                        if math.isnan(val):
+                            return best
+                r0 += rows
+            return best
 
-    try:
-        val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
-                               np.zeros(1))
-    finally:
-        scan = None  # scan refers to itself; free its buffers without the cyclic GC
+        try:
+            val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
+                                   np.zeros(1))
+        finally:
+            scan = None  # scan refers to itself; free its buffers without the cyclic GC
     if path is None:
         raise ValueError(
             f"no finite cost on the grid of {math.prod(len(a) for a in axes)} "

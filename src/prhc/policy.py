@@ -70,13 +70,16 @@ class RunResult:
     rename waits for the next change to the benchmark. A quadratic run
     keeps its law table in laws, the (K, f) of solver._window_laws over the
     schedule's window starts, which recursion_audit reads; other runs keep
-    None.
+    None. sys and costs are the objects the run was given, kept by reference
+    so the audit can refuse any other model.
     """
 
     traj: Trajectory
     J: float
     interval_solutions: tuple
     schedule: RhcSchedule
+    sys: LinearSystem
+    costs: CostModel
     laws: tuple | None = None
 
 
@@ -178,6 +181,8 @@ def run_policy(
         J=J,
         interval_solutions=tuple(stops),
         schedule=sched,
+        sys=sys,
+        costs=costs,
         laws=laws,
     )
 

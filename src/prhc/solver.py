@@ -125,22 +125,25 @@ def _objective_gradient(p: HorizonProblem, u_flat: np.ndarray):
     """Value and flat gradient via the backward (adjoint) recursion:
     lam_N = 0; grad_u[k] = dc_k/du + B' lam_{k+1}; lam_k = dc_k/dx + A' lam_{k+1}.
     The window's stage costs and stage gradients come from one eval and one
-    gradient call."""
+    gradient call. Floating-point warnings are off: a non-finite stage cost
+    or gradient raises RuntimeError naming it, and a non-finite total is
+    named by the caller."""
     n, m, N = p.sys.n, p.sys.m, p.N
     u = u_flat.reshape(N, m)
-    xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
     t = np.arange(p.t0, p.t0 + N)
-    stage = _stage_costs(p.costs, t, xs, u)
-    bad = np.flatnonzero(~np.isfinite(stage))
-    if bad.size:
-        raise RuntimeError(f"non-finite stage cost at window offset {bad[0]}")
-    value = _in_stage_order(stage)
-    gx_all, gu_all = p.costs.gradient(t, xs, u)
-    lam = np.zeros(n)
-    grad = np.empty(N * m)
-    for k in range(N - 1, -1, -1):
-        grad[k * m:(k + 1) * m] = gu_all[k] + p.sys.B.T @ lam
-        lam = gx_all[k] + p.sys.A.T @ lam
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
+        stage = _stage_costs(p.costs, t, xs, u)
+        bad = np.flatnonzero(~np.isfinite(stage))
+        if bad.size:
+            raise RuntimeError(f"non-finite stage cost at window offset {bad[0]}")
+        value = _in_stage_order(stage)
+        gx_all, gu_all = p.costs.gradient(t, xs, u)
+        lam = np.zeros(n)
+        grad = np.empty(N * m)
+        for k in range(N - 1, -1, -1):
+            grad[k * m:(k + 1) * m] = gu_all[k] + p.sys.B.T @ lam
+            lam = gx_all[k] + p.sys.A.T @ lam
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("non-finite gradient encountered")
     return value, grad

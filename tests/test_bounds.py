@@ -1,5 +1,7 @@
 """Closed-form gain constants, certificates, and the recursion audit."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ def make_params(beta, gamma=1.0):
     return EnvelopeParams.from_alphas(beta, 1.0, gamma_bar_sq=gamma)
 
 
+@functools.cache
+def edge_run():
+    """A finished quadratic run whose J and disturbances certify reads."""
+    sc = compliant_quadratic_scenario(0, spike=True)
+    return run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+
+
 class TestKappa:
     def test_pinned_values(self):
         assert kappa(1.0, 2) == pytest.approx(1.25, abs=1e-12)
@@ -38,6 +47,10 @@ class TestKappa:
             kappa(1.5, 4)
         with pytest.raises(ValueError, match="at least 1"):
             kappa(0.5, 0)
+
+    def test_takes_omega_ops_constants(self):
+        with pytest.raises(ValueError, match="stability threshold"):
+            kappa(1.0, 1)
 
 
 class TestOmegaOp:
@@ -153,6 +166,32 @@ class TestCertify:
         assert table["M > 1/beta^2"][1] == pytest.approx(
             sc.sched.M - 1.0 / sc.params.beta**2)
 
+    def test_rounding_edge_of_the_threshold_fails_its_condition(self):
+        # M*beta*beta rounds to 1 + 2^-52, but a = 1 - g rounds to 1: the
+        # bound would divide by a gap rounding erased (omega_op was 4.7e16),
+        # so the condition fails, though its margin M - 1/beta^2 reads 3.6e-15
+        params = EnvelopeParams.from_alphas(0.23570226039551587, 1.0, 1.0)
+        M = 18
+        assert M * params.beta * params.beta == 1.0000000000000002
+        for f in (omega_op, a_factor):
+            with pytest.raises(ValueError, match="stability threshold"):
+                f(params.beta, M)
+        cert = certify(edge_run(), params, build_schedule(36, M, 36))
+        name, ok, margin = cert.conditions[-1]
+        assert name == "M > 1/beta^2" and not ok and margin > 0
+        assert cert.bound == np.inf and np.isnan(cert.omega)
+        assert not cert.satisfied
+
+    def test_beta_rounding_above_one_is_refused_before_certify(self):
+        # omega_op takes beta <= 1 exactly, so EnvelopeParams admits no more
+        with pytest.raises(ValueError, match="beta must not exceed 1"):
+            EnvelopeParams(alpha_lo=1 + 5e-13, alpha_hi=1.0, gamma_bar_sq=1.0,
+                           beta=1 + 5e-13, zeta=1.5)
+        params = EnvelopeParams(alpha_lo=1 + 5e-13, alpha_hi=1.0, gamma_bar_sq=1.0,
+                                beta=1.0, zeta=1.5)
+        cert = certify(edge_run(), params, build_schedule(36, 18, 36))
+        assert cert.conditions_ok and cert.omega == omega_op(1.0, 18)
+
     def test_no_envelope_fails_its_condition(self):
         # a run on a bound the conditions would otherwise admit
         sc = compliant_quadratic_scenario(1, spike=False)
@@ -244,6 +283,19 @@ class TestRecursionAudit:
         monkeypatch.setattr(prhc.solver, "_window_laws", counting)
         assert recursion_audit(res, sc.params, sc.sys, sc.costs, sc.w)
         assert sweeps == []
+
+    def test_rejects_a_model_the_run_did_not_apply(self):
+        # the slacks are only the run's with the run's own model: 4Q, or 2A,
+        # once gave other slacks without an error
+        sc = compliant_quadratic_scenario(0, spike=True)
+        res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
+        assert min(recursion_audit(res, sc.params, sc.sys, sc.costs, sc.w)) > 0
+        heavier = QuadraticCost(4.0 * sc.costs.Q_seq, sc.costs.R_seq)
+        with pytest.raises(ValueError, match="costs is not the cost model the run applied"):
+            recursion_audit(res, sc.params, sc.sys, heavier, sc.w)
+        faster = LinearSystem(A=2.0 * sc.sys.A, B=sc.sys.B)
+        with pytest.raises(ValueError, match="sys is not the system the run applied"):
+            recursion_audit(res, sc.params, faster, sc.costs, sc.w)
 
     def test_rejects_a_run_without_its_laws(self):
         sc = compliant_quadratic_scenario(0, spike=True)

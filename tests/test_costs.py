@@ -322,6 +322,12 @@ class TestEnvelopeParams:
             EnvelopeParams(alpha_lo=2.0, alpha_hi=1.0, gamma_bar_sq=1.0,
                            beta=2.0, zeta=2.0)
 
+    def test_nan_beta_rejected(self):
+        # NaN passed every comparison that refused a bad beta
+        with pytest.raises(ValueError, match="beta must be positive"):
+            EnvelopeParams(alpha_lo=1.0, alpha_hi=2.0, gamma_bar_sq=1.0,
+                           beta=float("nan"), zeta=2.0)
+
     def test_zeta_below_inverse_beta_rejected(self):
         with pytest.raises(ValueError, match="below 1/beta"):
             EnvelopeParams(alpha_lo=1.0, alpha_hi=2.0, gamma_bar_sq=1.0,

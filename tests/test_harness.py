@@ -11,7 +11,13 @@ import pytest
 
 from prhc import harness
 from prhc.bounds import recursion_audit
-from prhc.costs import CostModel, EnvelopeParams, NonConvexCost, QuadraticCost
+from prhc.costs import (
+    CostModel,
+    EnvelopeParams,
+    NonConvexCost,
+    QuadraticCost,
+    quadratic_value_form,
+)
 from prhc.harness import (
     CSV_HEADER,
     ExperimentReport,
@@ -279,6 +285,28 @@ class TestRunTable1:
         capped = [s for s in stops if s[-1].iterations >= cap]
         assert capped == []
         assert all(s[-1].converged for s in stops)
+
+    def test_quadratic_rows_cost_no_less_than_the_clairvoyant_value(self):
+        # J* = z'Pz over [1, T], z = [x1; w_1..w_T], is the least cost of
+        # any input sequence with the whole disturbance known, so every
+        # policy row costs at least J*: on every quadratic row of
+        # run_table1(iters=10, N_list=(6, 9)) and on the T = 100, N = 40
+        # rows of seeds 1 and 4
+        def clairvoyant(sc):
+            z = np.concatenate([sc.x1, sc.w_full.w[:sc.T].ravel()])
+            return float(z @ quadratic_value_form(sc.sys, sc.costs, 0, sc.T) @ z)
+
+        rows = run_table1(iters=10, N_list=(6, 9), cost_kinds=("quadratic",)).rows
+        assert len(rows) == 40
+        cases = [(row, gen_scenario(row.seed, ScenarioConfig(
+            cost_kind="quadratic", n=row.n, m=row.m, T=row.T, N=row.N))) for row in rows]
+        for seed in (1, 4):
+            sc = gen_scenario(seed, ScenarioConfig(cost_kind="quadratic", T=100, N=40))
+            cases += [(row, sc) for row in run_comparison(sc)]
+        below = [(row.seed, row.T, row.N, row.policy, row.J, J_star)
+                 for row, sc in cases
+                 if not row.J >= (J_star := clairvoyant(sc)) * (1 - 1e-9)]
+        assert below == []
 
     def test_aggregate_cells(self):
         rep = run_table1(iters=2, N_list=(4, 6), cost_kinds=("quadratic",),

@@ -1,5 +1,6 @@
 """Window solver: exact quadratic path, descent path, adjoint gradients."""
 
+import dataclasses
 import re
 import warnings
 
@@ -15,7 +16,7 @@ from prhc.costs import (
     estimate_params,
     quadratic_value_form,
 )
-from prhc.harness import ScenarioConfig, gen_scenario
+from prhc.harness import ScenarioConfig, brute_force_oracle, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem, rollout, stack_dynamics
 from prhc.solver import (
     NORMAL_COND_MAX,
@@ -552,6 +553,29 @@ class TestDispatch:
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter(mode)
                 with pytest.raises(ValueError, match=message):
+                    call(*args)
+            assert seen == []
+
+    @pytest.mark.parametrize("mode", ["always", "error"])
+    def test_overflowing_descent_and_grid_scan_name_their_failure_in_every_warning_mode(
+            self, mode):
+        # A = 1e200 overflows the second state; the descent's objective and
+        # the grid oracle's scan run with floating-point warnings off, so
+        # their finiteness checks name the failure whether or not warnings
+        # are errors
+        sys = LinearSystem(A=1e200 * np.eye(2), B=[[1.0], [1.0]])
+        p = make_problem(sys, NonConvexCost(), [1.0, 1.0], np.zeros((3, 2)))
+        sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", n=1, m=1, T=3, N=3))
+        sc = dataclasses.replace(sc, sys=LinearSystem(A=[[1e200]], B=sc.sys.B),
+                                 x1=np.array([1.0]))
+        calls = [(solve_general, (p,), RuntimeError,
+                  "iteration 0: non-finite stage cost at window offset 1"),
+                 (brute_force_oracle, (sc, 0.5, 2.0), ValueError,
+                  "no finite cost on the grid of 729 points")]
+        for call, args, error, message in calls:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter(mode)
+                with pytest.raises(error, match=message):
                     call(*args)
             assert seen == []
 
