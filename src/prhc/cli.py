@@ -18,8 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .bounds import certify, recursion_audit
-from .costs import sigma_eval
+from .bounds import a_factor, recursion_audit
 from .harness import (
     ExperimentReport,
     ScenarioConfig,
@@ -148,8 +147,8 @@ def _replay(args, command: str, noun: str, check) -> int:
 
     Rows sharing a scenario (the overlap and standard rows of one seed)
     share its envelope constants, which are computed once; a non-quadratic
-    scenario has none (params None). `check(row, sc, params, sched, res)`
-    returns the rest of the row's line and whether the row passed.
+    scenario has none (params None). `check(row, sc, params)` returns the
+    rest of the row's line and whether the row passed.
     """
     report = load_report(args.infile)
     envelopes = {}
@@ -160,10 +159,7 @@ def _replay(args, command: str, noun: str, check) -> int:
             sc = gen_scenario(row.seed, ScenarioConfig(
                 cost_kind=row.cost_kind, n=row.n, m=row.m, T=row.T, N=row.N))
             envelopes[key] = sc, scenario_params(sc)
-        sc, params = envelopes[key]
-        sched = build_schedule(row.N, row.M, row.T)
-        res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
-        text, ok = check(row, sc, params, sched, res)
+        text, ok = check(row, *envelopes[key])
         print(f"row {i}: seed={row.seed} {row.cost_kind} {row.policy} "
               f"N={row.N} M={row.M} {text}")
         failures += not ok
@@ -171,29 +167,39 @@ def _replay(args, command: str, noun: str, check) -> int:
     return 1 if failures else 0
 
 
-def _recheck(row, sc, params, sched, res) -> tuple:
-    cert = certify(res, params, sched,
-                   sigma_x1=float(sigma_eval(sc.costs, sc.x1)))
+def _recheck(row, sc, params) -> tuple:
+    # the row as table1 and run make it, from the cached constants
+    [new] = run_comparison(dataclasses.replace(sc, policies=((row.policy, row.M),)),
+                           params)
     problems = []
-    if not _close(res.J, row.J):
-        problems.append(f"J {res.J!r} != stored {row.J!r}")
-    if not _close(cert.bound, row.bound):
-        problems.append(f"bound {cert.bound!r} != stored {row.bound!r}")
-    if cert.satisfied != row.satisfied:
-        problems.append(f"satisfied {cert.satisfied} != stored {row.satisfied}")
+    if not _close(new.J, row.J):
+        problems.append(f"J {new.J!r} != stored {row.J!r}")
+    if not _close(new.bound, row.bound):
+        problems.append(f"bound {new.bound!r} != stored {row.bound!r}")
+    if new.satisfied != row.satisfied:
+        problems.append(f"satisfied {new.satisfied} != stored {row.satisfied}")
     verdict = "ok" if not problems else "MISMATCH: " + "; ".join(problems)
     return (f"J={row.J:.6g} bound={row.bound:.6g} "
             f"satisfied={str(row.satisfied).lower()} recheck={verdict}",
             not problems)
 
 
-def _audit_row(row, sc, params, sched, res) -> tuple:
+def _audit_row(row, sc, params) -> tuple:
+    sched = build_schedule(row.N, row.M, row.T)
+    # nothing to audit without an envelope, or at or below the stability
+    # threshold, where the contraction factor is undefined
+    if params is None:
+        return (f"skipped: no envelope for {type(sc.costs).__name__}: the recursion "
+                f"needs finite alpha_hi and gamma_bar_sq"), True
+    try:
+        a_factor(params.beta, row.M)
+    except ValueError as exc:
+        return f"skipped: {exc}", True
+    res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
     try:
         slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
-    except ValueError as exc:
-        # no envelope, or a contraction factor undefined below the
-        # stability threshold; nothing to audit for such rows
-        return f"skipped: {exc}", True
+    except (ValueError, RuntimeError) as exc:
+        return f"FAIL: {exc}", False
     if not slacks:
         return "skipped: no pair of full-length windows", True
     worst = min(slacks)

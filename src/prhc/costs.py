@@ -346,20 +346,21 @@ def total_cost(traj: Trajectory, costs: CostModel) -> float:
         raise ValueError(
             f"trajectory has {T} steps but the cost sequence covers {costs.length}"
         )
-    stage = _stage_costs(costs, np.arange(T), traj.states[:T], traj.inputs)
-    neg = np.flatnonzero(stage < 0)
-    if neg.size:
-        t = int(neg[0])
-        raise ValueError(
-            f"stage cost at step {t} is negative ({stage[t]:.3e}); cost model is broken"
-        )
-    return float(stage.sum())
+    return float(_stage_costs(costs, np.arange(T), traj.states[:T], traj.inputs).sum())
 
 
 def _stage_costs(costs: CostModel, t, x, u) -> np.ndarray:
-    """The stages' costs in one eval call, as a fresh float array shaped
-    like t; a model may return one scalar for every stage."""
-    return np.broadcast_to(np.asarray(costs.eval(t, x, u), dtype=float), t.shape).copy()
+    """The stages' costs from one quiet eval call, as a fresh float array
+    shaped like t (a model may return one scalar for every stage); a NaN,
+    infinite or negative cost raises ValueError naming its step."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stage = np.broadcast_to(np.asarray(costs.eval(t, x, u), dtype=float), t.shape).copy()
+    bad = np.flatnonzero(~((stage >= 0) & (stage < np.inf)))
+    if bad.size:
+        t, c = t[bad[0]], stage[bad[0]]
+        raise ValueError(f"stage cost at step {t} is {'negative' if c < 0 else 'not finite'} "
+                         f"({c:.3e}); the cost model or the trajectory is broken")
+    return stage
 
 
 def sigma_eval(costs: CostModel, x) -> float:

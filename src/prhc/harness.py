@@ -28,11 +28,10 @@ from .costs import (
     QuadraticCost,
     SeparableCost,
     SetDistanceCost,
-    _stage_costs,
     estimate_params,
     sigma_eval,
 )
-from .linsys import DisturbanceSequence, LinearSystem, rollout
+from .linsys import DisturbanceSequence, LinearSystem, _propagate
 from .policy import build_schedule, run_policy
 
 __all__ = [
@@ -512,9 +511,11 @@ def _separable_min(costs: SeparableCost, t: int, xb, cb, g, k_star: int):
 
 
 def _first_nan_stage(sc: Scenario, point: np.ndarray) -> int:
-    """First stage whose cost is NaN along the open-loop input table `point`."""
-    traj = rollout(sc.sys, sc.x1, point.reshape(sc.T, sc.sys.m), sc.w_full)
-    stage = _stage_costs(sc.costs, np.arange(sc.T), traj.states[:sc.T], traj.inputs)
+    """First stage whose cost, read unchecked from eval, is NaN along `point`."""
+    u = point.reshape(sc.T, sc.sys.m)
+    xs = _propagate(sc.sys, sc.x1, u, sc.w_full.w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stage = sc.costs.eval(np.arange(sc.T), xs[:-1], u)
     nan = np.flatnonzero(np.isnan(stage))
     return int(nan[0]) if nan.size else sc.T - 1
 
@@ -530,10 +531,10 @@ def brute_force_oracle(sc: Scenario, grid_res: float, u_box: float) -> tuple:
     (T, m) and effective spacing <= grid_res. A NaN stage cost anywhere on a
     scanned grid, or a grid with no finite total cost, raises ValueError.
     """
-    if grid_res <= 0:
-        raise ValueError(f"grid_res must be positive, got {grid_res}")
-    if u_box <= 0:
-        raise ValueError(f"u_box must be positive, got {u_box}")
+    if not 0 < grid_res < math.inf:
+        raise ValueError(f"grid_res must be positive and finite, got {grid_res}")
+    if not 0 < u_box < math.inf:
+        raise ValueError(f"u_box must be positive and finite, got {u_box}")
     d = sc.T * sc.sys.m
     per = int(math.ceil(2.0 * u_box / grid_res)) + 1
     if per**d <= GRID_BUDGET:

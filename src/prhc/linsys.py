@@ -142,7 +142,7 @@ class StackedDynamics:
 
 
 def _propagate(sys: LinearSystem, x1, u, w, K=None) -> np.ndarray:
-    """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); no checks.
+    """States x_1..x_{T+1} of x_{k+1} = A x_k + B u_k + w_k, T = len(u); unchecked, quiet.
 
     With gains K (T, m, n) the inputs follow the law u_k - K_k x_k: u holds
     the feedforward terms on entry and the applied inputs on return.
@@ -150,10 +150,11 @@ def _propagate(sys: LinearSystem, x1, u, w, K=None) -> np.ndarray:
     A, B = sys.A, sys.B
     states = np.empty((len(u) + 1, sys.n))
     states[0] = x1
-    for k in range(len(u)):
-        if K is not None:
-            u[k] -= K[k] @ states[k]
-        states[k + 1] = A @ states[k] + B @ u[k] + w[k]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(len(u)):
+            if K is not None:
+                u[k] -= K[k] @ states[k]
+            states[k + 1] = A @ states[k] + B @ u[k] + w[k]
     return states
 
 

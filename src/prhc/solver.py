@@ -125,19 +125,15 @@ def _objective_gradient(p: HorizonProblem, u_flat: np.ndarray):
     """Value and flat gradient via the backward (adjoint) recursion:
     lam_N = 0; grad_u[k] = dc_k/du + B' lam_{k+1}; lam_k = dc_k/dx + A' lam_{k+1}.
     The window's stage costs and stage gradients come from one eval and one
-    gradient call. Floating-point warnings are off: a non-finite stage cost
-    or gradient raises RuntimeError naming it, and a non-finite total is
-    named by the caller."""
+    gradient call, with floating-point warnings off; _stage_costs checks the
+    stage costs, a non-finite gradient raises RuntimeError, and the caller
+    names a non-finite total."""
     n, m, N = p.sys.n, p.sys.m, p.N
     u = u_flat.reshape(N, m)
     t = np.arange(p.t0, p.t0 + N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xs = _propagate(p.sys, p.x0, u[:-1], p.w_preview.w[:-1])
-        stage = _stage_costs(p.costs, t, xs, u)
-        bad = np.flatnonzero(~np.isfinite(stage))
-        if bad.size:
-            raise RuntimeError(f"non-finite stage cost at window offset {bad[0]}")
-        value = _in_stage_order(stage)
+        value = _in_stage_order(_stage_costs(p.costs, t, xs, u))
         gx_all, gu_all = p.costs.gradient(t, xs, u)
         lam = np.zeros(n)
         grad = np.empty(N * m)
@@ -181,7 +177,7 @@ def _descend(p, u0, cfg):
     def evaluate(u_vec, it):
         try:
             f, g = _objective_gradient(p, u_vec)
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from None
         if not np.isfinite(f):
             raise RuntimeError(f"iteration {it}: non-finite cost")

@@ -200,6 +200,25 @@ class TestStoredReports:
                          r"windows$", proc.stdout, re.M)
         assert proc.stdout.splitlines()[-1] == "audit: 1 rows, 0 failures"
 
+    def test_audit_fails_a_row_whose_audit_raises(self, tmp_path, monkeypatch, capsys):
+        # only a missing envelope and the stability threshold skip a row; any
+        # other error, such as a law rollout's stage-cost error, fails it
+        out = tmp_path / "run.csv"
+        assert cli.main(["run", "--seed", "0", "--T", "100", "--N", "60",
+                         "--out", str(out)]) == 0
+        assert load_report(out).rows[0].satisfied
+
+        def broken(*args):
+            raise ValueError("stage cost at step 3 is not finite (inf)")
+
+        monkeypatch.setattr(cli, "recursion_audit", broken)
+        capsys.readouterr()
+        assert cli.main(["audit", "--in", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert re.search(r"^row 0: .* M=30 FAIL: stage cost at step 3 is not "
+                         r"finite \(inf\)$", lines[0])
+        assert lines[-1] == "audit: 1 rows, 1 failures"
+
     def test_certify_rejects_sampled_finite_bound(self, tmp_path):
         # a report written when the non-quadratic envelope was sampled
         out = self.nonconvex_report(tmp_path, beta=0.5, gamma_bar_sq=2.0,

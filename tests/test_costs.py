@@ -1,6 +1,7 @@
 """Cost models, sigma, and envelope-constant estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,13 @@ from prhc.costs import (
 )
 from prhc import costs as costs_mod, harness
 from prhc.harness import ScenarioConfig, gen_scenario, run_comparison, scenario_params
-from prhc.linsys import DisturbanceSequence, LinearSystem, Trajectory, stack_dynamics
-from prhc.solver import HorizonProblem, adjoint_gradient, solve_general, solve_quadratic
+from prhc.linsys import (
+    DisturbanceSequence, LinearSystem, Trajectory, rollout, stack_dynamics,
+)
+from prhc.policy import build_schedule, run_policy
+from prhc.solver import (
+    HorizonProblem, adjoint_gradient, horizon_objective, solve_general, solve_quadratic,
+)
 
 
 def make_quad(n=2, m=1, T=3, q=1.0, r=1.0):
@@ -145,6 +151,46 @@ class TestTotalCost:
         )
         with pytest.raises(ValueError, match=f"step {first} is negative"):
             total_cost(traj, NegativeFromCost(first))
+
+
+def overflowing_calls():
+    """(call, message) of overflowing states on each path to a stage cost:
+    a policy run, a window objective, a stored trajectory, and a rollout,
+    whose Trajectory refuses the overflowed state before any cost."""
+    unit = make_quad(n=1, m=1, T=6)
+    run = (lambda: run_policy(LinearSystem(A=[[1e100]], B=[[1.0]]), unit,
+                              DisturbanceSequence(np.full((6, 1), 0.5)), [1.0],
+                              build_schedule(3, 1, 6)),
+           r"stage cost at step 2 is not finite \(inf\)")
+    window = HorizonProblem(sys=LinearSystem(A=[[1e200]], B=[[1.0]]), x0=[1.0],
+                            costs=make_quad(n=1, m=1, T=3), t0=0,
+                            w_preview=DisturbanceSequence.zeros(3, 1), N=3)
+    objective = (lambda: horizon_objective(window, np.zeros(3)),
+                 r"stage cost at step 1 is not finite \(inf\)")
+    traj = Trajectory(states=[[1e200], [0.0]], inputs=[[0.0]], disturbances=[[0.0]])
+    total = (lambda: total_cost(traj, make_quad(n=1, m=1, T=1)),
+             r"stage cost at step 0 is not finite \(inf\)")
+    roll = (lambda: rollout(LinearSystem(A=[[1e200]], B=[[1.0]]), [1.0],
+                            np.zeros((3, 1)), np.zeros((3, 1))),
+            "states contains non-finite entries")
+    return {"run_policy": run, "horizon_objective": objective,
+            "total_cost": total, "rollout": roll}
+
+
+class TestStageCostCheck:
+    @pytest.mark.parametrize("mode", ["always", "error"])
+    @pytest.mark.parametrize("path", ["run_policy", "horizon_objective",
+                                      "total_cost", "rollout"])
+    def test_overflow_is_named_in_every_warning_mode(self, path, mode):
+        # the dynamics and the stage costs run with floating-point warnings
+        # off, so an overflow ends in the same named ValueError, and nothing
+        # else, whether or not warnings are errors
+        call, message = overflowing_calls()[path]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert seen == []
 
 
 class TestSigmaEval:

@@ -389,6 +389,15 @@ class TestBruteForceOracle:
             brute_force_oracle(sc, 0.0, 2.0)
         with pytest.raises(ValueError, match="u_box"):
             brute_force_oracle(sc, 0.1, -1.0)
+        # an infinite grid_res would scan the one point u = -u_box, an
+        # infinite u_box overflows the point count, and NaN has no count
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"grid_res must be positive and "
+                                                 f"finite, got {bad}"):
+                brute_force_oracle(sc, bad, 2.0)
+            with pytest.raises(ValueError, match=f"u_box must be positive and "
+                                                 f"finite, got {bad}"):
+                brute_force_oracle(sc, 0.1, bad)
 
     @pytest.mark.parametrize("stage", [0, 1])
     def test_nan_cost_is_an_error(self, stage):

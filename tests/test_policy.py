@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import prhc.solver
-from hypothesis import given, settings, strategies as st
 from family import compliant_quadratic_scenario
 from prhc.bounds import a_factor, omega_op
 from prhc.costs import (
@@ -306,24 +305,30 @@ def dense_run_cost(sys, costs, w, x1, sched):
     return total_cost(traj, costs)
 
 
-@st.composite
-def quadratic_runs(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 2))
-    N = draw(st.integers(2, 8))
-    M = draw(st.integers(1, N - 1))
-    T = N + draw(st.integers(0, 10))  # N < T truncates the last window
-    rho = draw(st.floats(0.3, 1.2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    A = rng.normal(size=(n, n))
-    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
-    sys = LinearSystem(A=A, B=rng.normal(size=(n, m)))
-    Qf = rng.normal(size=(T, n, n))
-    Rf = rng.normal(size=(T, m, m))
-    costs = QuadraticCost(Qf @ Qf.transpose(0, 2, 1) + 0.1 * np.eye(n),
-                          Rf @ Rf.transpose(0, 2, 1) + 0.1 * np.eye(m))
-    w = DisturbanceSequence.from_array(rng.uniform(0, 1, (T, n)))
-    return sys, costs, w, rng.uniform(-1, 1, n), build_schedule(N, M, T)
+def quadratic_runs(st):
+    """Strategy, built from hypothesis' strategies module st, of small
+    quadratic runs (sys, costs, w, x1, sched)."""
+
+    @st.composite
+    def runs(draw):
+        n = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 2))
+        N = draw(st.integers(2, 8))
+        M = draw(st.integers(1, N - 1))
+        T = N + draw(st.integers(0, 10))  # N < T truncates the last window
+        rho = draw(st.floats(0.3, 1.2))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        A = rng.normal(size=(n, n))
+        A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+        sys = LinearSystem(A=A, B=rng.normal(size=(n, m)))
+        Qf = rng.normal(size=(T, n, n))
+        Rf = rng.normal(size=(T, m, m))
+        costs = QuadraticCost(Qf @ Qf.transpose(0, 2, 1) + 0.1 * np.eye(n),
+                              Rf @ Rf.transpose(0, 2, 1) + 0.1 * np.eye(m))
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (T, n)))
+        return sys, costs, w, rng.uniform(-1, 1, n), build_schedule(N, M, T)
+
+    return runs()
 
 
 def per_window_propagation(sys, costs, w, x1, sched):
@@ -344,28 +349,35 @@ def per_window_propagation(sys, costs, w, x1, sched):
     return np.concatenate(states), np.concatenate(inputs)
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(quadratic_runs())
-def test_batched_quadratic_run_equals_per_window_solves(case):
-    # each window's applied inputs equal those of a fresh dense solve from
-    # the realized window start state, J that of a run of dense window
-    # solves, and the states and inputs those of per-window propagations
-    sys, costs, w, x1, sched = case
-    res = run_policy(sys, costs, w, x1, sched)
-    assert len(res.interval_solutions) == len(sched.t_list)
-    for i, t_i in enumerate(sched.t_list):
-        h = sched.horizon_at(i)
-        applied = sched.applied_at(i)
-        ref = solve_quadratic(HorizonProblem(
-            sys=sys, x0=res.traj.states[t_i - 1], costs=costs, t0=t_i - 1,
-            w_preview=w.window(t_i - 1, t_i - 1 + h), N=h)).u_opt[:applied]
-        u = res.traj.inputs[t_i - 1:t_i - 1 + applied]
-        assert np.all(np.abs(u - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
-        assert res.interval_solutions[i] == WindowStop(converged=True, iterations=0)
-    assert res.J == pytest.approx(dense_run_cost(sys, costs, w, x1, sched), rel=1e-9)
-    states, inputs = per_window_propagation(sys, costs, w, x1, sched)
-    np.testing.assert_array_equal(res.traj.states, states)
-    np.testing.assert_array_equal(res.traj.inputs, inputs)
+def test_batched_quadratic_run_equals_per_window_solves():
+    # a property test, skipped without hypothesis like the property modules
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
+    @hypothesis.given(quadratic_runs(st))
+    def check(case):
+        # each window's applied inputs equal those of a fresh dense solve from
+        # the realized window start state, J that of a run of dense window
+        # solves, and the states and inputs those of per-window propagations
+        sys, costs, w, x1, sched = case
+        res = run_policy(sys, costs, w, x1, sched)
+        assert len(res.interval_solutions) == len(sched.t_list)
+        for i, t_i in enumerate(sched.t_list):
+            h = sched.horizon_at(i)
+            applied = sched.applied_at(i)
+            ref = solve_quadratic(HorizonProblem(
+                sys=sys, x0=res.traj.states[t_i - 1], costs=costs, t0=t_i - 1,
+                w_preview=w.window(t_i - 1, t_i - 1 + h), N=h)).u_opt[:applied]
+            u = res.traj.inputs[t_i - 1:t_i - 1 + applied]
+            assert np.all(np.abs(u - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
+            assert res.interval_solutions[i] == WindowStop(converged=True, iterations=0)
+        assert res.J == pytest.approx(dense_run_cost(sys, costs, w, x1, sched), rel=1e-9)
+        states, inputs = per_window_propagation(sys, costs, w, x1, sched)
+        np.testing.assert_array_equal(res.traj.states, states)
+        np.testing.assert_array_equal(res.traj.inputs, inputs)
+
+    check()
 
 
 class TestStandardRhc:

@@ -569,7 +569,7 @@ class TestDispatch:
         sc = dataclasses.replace(sc, sys=LinearSystem(A=[[1e200]], B=sc.sys.B),
                                  x1=np.array([1.0]))
         calls = [(solve_general, (p,), RuntimeError,
-                  "iteration 0: non-finite stage cost at window offset 1"),
+                  r"iteration 0: stage cost at step 1 is not finite \(inf\)"),
                  (brute_force_oracle, (sc, 0.5, 2.0), ValueError,
                   "no finite cost on the grid of 729 points")]
         for call, args, error, message in calls:
