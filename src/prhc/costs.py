@@ -126,8 +126,9 @@ class QuadraticCost(SeparableCost):
             raise ValueError(
                 f"Q_seq has {Q.shape[0]} stages but R_seq has {R.shape[0]}"
             )
-        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        R = 0.5 * (R + R.transpose(0, 2, 1))
+        # halves first: the sum of two finite entries may overflow
+        Q = 0.5 * Q + 0.5 * Q.transpose(0, 2, 1)
+        R = 0.5 * R + 0.5 * R.transpose(0, 2, 1)
         for name, seq in (("Q", Q), ("R", R)):
             bad = np.flatnonzero(~np.isfinite(seq).all(axis=(1, 2)))
             if bad.size:
@@ -346,21 +347,26 @@ def total_cost(traj: Trajectory, costs: CostModel) -> float:
         raise ValueError(
             f"trajectory has {T} steps but the cost sequence covers {costs.length}"
         )
-    return float(_stage_costs(costs, np.arange(T), traj.states[:T], traj.inputs).sum())
+    return _stage_costs(costs, np.arange(T), traj.states[:T], traj.inputs)
 
 
-def _stage_costs(costs: CostModel, t, x, u) -> np.ndarray:
-    """The stages' costs from one quiet eval call, as a fresh float array
-    shaped like t (a model may return one scalar for every stage); a NaN,
-    infinite or negative cost raises ValueError naming its step."""
+def _stage_costs(costs: CostModel, t, x, u) -> float:
+    """The total of the stages' costs at the steps t, from one quiet eval
+    call (a model may return one scalar for every stage) and one np.sum; a
+    NaN, infinite or negative stage cost raises ValueError naming its step,
+    and a total past the float range raises ValueError naming the stages."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stage = np.broadcast_to(np.asarray(costs.eval(t, x, u), dtype=float), t.shape).copy()
+        stage = np.broadcast_to(np.asarray(costs.eval(t, x, u), dtype=float), t.shape)
+        total = float(np.sum(stage))
     bad = np.flatnonzero(~((stage >= 0) & (stage < np.inf)))
     if bad.size:
         t, c = t[bad[0]], stage[bad[0]]
         raise ValueError(f"stage cost at step {t} is {'negative' if c < 0 else 'not finite'} "
                          f"({c:.3e}); the cost model or the trajectory is broken")
-    return stage
+    if total == np.inf:
+        raise ValueError(f"the {t.size} stage costs from step {t[0]} sum past the float "
+                         "range; the cost model or the trajectory is broken")
+    return total
 
 
 def sigma_eval(costs: CostModel, x) -> float:

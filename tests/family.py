@@ -28,18 +28,26 @@ class FamilyScenario:
     params: EnvelopeParams
 
 
-def _draw_instance(rng):
+def draw_system(rng):
     n = int(rng.integers(1, 4))
     A = rng.uniform(0.0, 0.25 / np.sqrt(n), (n, n))
-    sys = LinearSystem(A=A, B=np.ones((n, 1)))
+    return LinearSystem(A=A, B=np.ones((n, 1)))
+
+
+def draw_costs(rng, n, T):
+    Q = np.stack([np.diag(rng.uniform(1.4, 2.2, n)) for _ in range(T)])
+    R = np.stack([np.diag(rng.uniform(1.4, 2.2, 1)) for _ in range(T)])
+    return QuadraticCost(Q, R)
+
+
+def _draw_instance(rng):
+    sys = draw_system(rng)
     M = int(rng.integers(4, 7))
     N = 2 * M + int(rng.integers(0, 2))
     n_m = N - M
     lo = N + n_m
     T = int(rng.integers(lo, 31))
-    Q = np.stack([np.diag(rng.uniform(1.4, 2.2, n)) for _ in range(T)])
-    R = np.stack([np.diag(rng.uniform(1.4, 2.2, 1)) for _ in range(T)])
-    return sys, QuadraticCost(Q, R), N, M, T
+    return sys, draw_costs(rng, sys.n, T), N, M, T
 
 
 def _spike_disturbance(sys, costs, sched, rng, w_c):

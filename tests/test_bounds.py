@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prhc.solver
-from family import compliant_quadratic_scenario
+from family import _spike_disturbance, compliant_quadratic_scenario, draw_costs, draw_system
 from prhc.bounds import (
     GainCertificate,
     a_factor,
@@ -15,7 +15,9 @@ from prhc.bounds import (
     omega_op,
     recursion_audit,
 )
-from prhc.costs import EnvelopeParams, NonConvexCost, QuadraticCost, quadratic_value_form
+from prhc.costs import (
+    EnvelopeParams, NonConvexCost, QuadraticCost, estimate_params, quadratic_value_form,
+)
 from prhc.harness import ScenarioConfig, gen_scenario
 from prhc.linsys import DisturbanceSequence, LinearSystem
 from prhc.policy import build_schedule, run_policy
@@ -203,6 +205,39 @@ class TestCertify:
         assert cert.bound == np.inf and np.isnan(cert.omega)
         assert not cert.satisfied
         assert cert.J == res.J
+
+
+class TestAbstractRegime:
+    """The abstract's own regime, N > 4/beta^3 with M = floor(N/2) and
+    x1 = 0, on the family's systems and weights at T = 64: N is raised from
+    8 with the envelope's beta taken at each N. Every draw must certify and
+    pass the audit under both a uniform and a spiked disturbance."""
+
+    T = 64
+    DRAWS = 24
+
+    def test_certified_and_audited(self):
+        T = self.T
+        for seed in range(self.DRAWS):
+            rng = np.random.default_rng(7_000_003 * (seed + 1))
+            sys = draw_system(rng)
+            costs = draw_costs(rng, sys.n, T)
+            N = 8
+            params = estimate_params(sys, costs, N)
+            while N <= 4.0 / params.beta ** 3:
+                N += 1
+                assert N <= T // 2, f"seed {seed}: 4/beta^3 passes T/2 (beta={params.beta})"
+                params = estimate_params(sys, costs, N)
+            sched = build_schedule(N, N // 2, T)
+            uniform = DisturbanceSequence(rng.uniform(0.0, 1.0, (T, sys.n)))
+            spike = _spike_disturbance(sys, costs, sched, rng, float(np.sqrt(sys.n)))
+            for w in (uniform, spike):
+                res = run_policy(sys, costs, w, np.zeros(sys.n), sched)
+                cert = certify(res, params, sched, sigma_x1=0.0)
+                assert cert.conditions_ok, (seed, cert.conditions)
+                assert cert.J <= cert.bound * (1 + 1e-9), (seed, N, cert.J, cert.bound)
+                slacks = recursion_audit(res, params, sys, costs, w)
+                assert min(slacks) >= -1e-6, (seed, N, min(slacks))
 
 
 class TestRecursionAudit:

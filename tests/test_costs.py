@@ -26,7 +26,8 @@ from prhc.linsys import (
 )
 from prhc.policy import build_schedule, run_policy
 from prhc.solver import (
-    HorizonProblem, adjoint_gradient, horizon_objective, solve_general, solve_quadratic,
+    HorizonProblem, adjoint_gradient, horizon_objective, solve, solve_general,
+    solve_quadratic,
 )
 
 
@@ -154,41 +155,68 @@ class TestTotalCost:
 
 
 def overflowing_calls():
-    """(call, message) of overflowing states on each path to a stage cost:
-    a policy run, a window objective, a stored trajectory, and a rollout,
-    whose Trajectory refuses the overflowed state before any cost."""
+    """(call, error, message) of overflowing states on each path to a stage
+    cost: a policy run, a window objective, a stored trajectory, and a
+    rollout, whose Trajectory refuses the overflowed state before any cost;
+    then finite stages whose sum overflows (x or u = 1e154 gives stage costs
+    1e308) in a quadratic window solve, a policy run, a window objective, a
+    stored trajectory and a descent, which prefixes the iteration."""
     unit = make_quad(n=1, m=1, T=6)
     run = (lambda: run_policy(LinearSystem(A=[[1e100]], B=[[1.0]]), unit,
                               DisturbanceSequence(np.full((6, 1), 0.5)), [1.0],
                               build_schedule(3, 1, 6)),
-           r"stage cost at step 2 is not finite \(inf\)")
+           ValueError, r"stage cost at step 2 is not finite \(inf\)")
     window = HorizonProblem(sys=LinearSystem(A=[[1e200]], B=[[1.0]]), x0=[1.0],
                             costs=make_quad(n=1, m=1, T=3), t0=0,
                             w_preview=DisturbanceSequence.zeros(3, 1), N=3)
     objective = (lambda: horizon_objective(window, np.zeros(3)),
-                 r"stage cost at step 1 is not finite \(inf\)")
+                 ValueError, r"stage cost at step 1 is not finite \(inf\)")
     traj = Trajectory(states=[[1e200], [0.0]], inputs=[[0.0]], disturbances=[[0.0]])
     total = (lambda: total_cost(traj, make_quad(n=1, m=1, T=1)),
-             r"stage cost at step 0 is not finite \(inf\)")
+             ValueError, r"stage cost at step 0 is not finite \(inf\)")
     roll = (lambda: rollout(LinearSystem(A=[[1e200]], B=[[1.0]]), [1.0],
                             np.zeros((3, 1)), np.zeros((3, 1))),
-            "states contains non-finite entries")
-    return {"run_policy": run, "horizon_objective": objective,
-            "total_cost": total, "rollout": roll}
+            ValueError, "states contains non-finite entries")
+    held = LinearSystem(A=[[1.0]], B=[[0.0]])
+
+    def held_window(x0):
+        return HorizonProblem(sys=held, x0=[x0], costs=make_quad(n=1, m=1, T=3), t0=0,
+                              w_preview=DisturbanceSequence.zeros(3, 1), N=3)
+
+    big_u = np.full((3, 1), 1e154)
+    past = "the 3 stage costs from step 0 sum past the float range"
+    return {
+        "run_policy": run, "horizon_objective": objective,
+        "total_cost": total, "rollout": roll,
+        "solve-sum": (lambda: solve(held_window(1e154)), ValueError, past),
+        "run_policy-sum": (lambda: run_policy(held, make_quad(n=1, m=1, T=3),
+                                              DisturbanceSequence.zeros(3, 1), [1e154],
+                                              build_schedule(3, 1, 3)),
+                           ValueError, past),
+        "horizon_objective-sum": (lambda: horizon_objective(held_window(0.0), big_u),
+                                  ValueError, past),
+        "total_cost-sum": (lambda: total_cost(rollout(held, [0.0], big_u, np.zeros((3, 1))),
+                                              make_quad(n=1, m=1, T=3)),
+                           ValueError, past),
+        "solve_general-sum": (lambda: solve_general(held_window(0.0), u0=big_u),
+                              RuntimeError, "iteration 0: " + past),
+    }
 
 
 class TestStageCostCheck:
     @pytest.mark.parametrize("mode", ["always", "error"])
     @pytest.mark.parametrize("path", ["run_policy", "horizon_objective",
-                                      "total_cost", "rollout"])
+                                      "total_cost", "rollout", "solve-sum",
+                                      "run_policy-sum", "horizon_objective-sum",
+                                      "total_cost-sum", "solve_general-sum"])
     def test_overflow_is_named_in_every_warning_mode(self, path, mode):
-        # the dynamics and the stage costs run with floating-point warnings
-        # off, so an overflow ends in the same named ValueError, and nothing
-        # else, whether or not warnings are errors
-        call, message = overflowing_calls()[path]
+        # the dynamics, the stage costs and their sum run with floating-point
+        # warnings off, so an overflow ends in the same named error, and
+        # nothing else, whether or not warnings are errors
+        call, error, message = overflowing_calls()[path]
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter(mode)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 call()
         assert seen == []
 
@@ -521,6 +549,16 @@ class TestModelInvariants:
             R[t] = -0.5
         with pytest.raises(ValueError, match=match):
             QuadraticCost(Q, R)
+
+    @pytest.mark.parametrize("mode", ["always", "error"])
+    def test_quadratic_symmetrizes_the_largest_finite_weights(self, mode):
+        # the halves are added, so finite weights near the float range keep
+        # a finite symmetric part
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            costs = QuadraticCost(np.full((2, 1, 1), 1e308), np.ones((2, 1, 1)))
+        assert seen == []
+        np.testing.assert_array_equal(costs.Q_seq, np.full((2, 1, 1), 1e308))
 
     def test_set_distance_rejects_bad_coefficients(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -224,7 +224,7 @@ class TestRunPolicy:
     def test_solver_failure_reports_interval(self, monkeypatch):
         def failing(p, cfg=None, u0=None):
             if p.t0 >= 2:
-                raise RuntimeError("iteration 1: non-finite cost")
+                raise RuntimeError("iteration 1: non-finite gradient encountered")
             return prhc.solver.solve_general(p, cfg, u0=u0)
 
         monkeypatch.setattr(prhc.solver, "solve", failing)
