@@ -27,7 +27,6 @@ from .costs import (
     estimate_gamma_alpha_upper,
     estimate_params,
     quadratic_value_form,
-    sigma_eval,
     total_cost,
 )
 from .harness import (

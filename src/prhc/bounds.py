@@ -103,7 +103,7 @@ def certify(
     result: RunResult,
     params: EnvelopeParams | None,
     sched: RhcSchedule | None = None,
-    sigma_x1: float = 0.0,
+    sigma_x1: float | None = None,
 ) -> GainCertificate:
     """Check J against alpha_hi/(1-a)*sigma(x_1) + omega*gamma_bar_sq*energy.
 
@@ -111,6 +111,8 @@ def certify(
     N >= 2M and M > 1/beta^2, with omega = omega_op(beta, M) and
     gamma_bar_sq the window-envelope constant of params, where the abstract
     claims (2/beta + rho(N)) times the oracle's best gain for N > 4/beta^3.
+    sigma_x1=None reads sigma(x_1) from the run, as
+    result.costs.sigma(result.traj.states[0]); pass a value to override it.
     Failed preconditions never raise; they yield an infinite bound with
     satisfied=False so batch reports stay total. params=None means the run's
     cost has no envelope: the failed condition "envelope exists" takes the
@@ -136,6 +138,8 @@ def certify(
     if ok:
         w = omega_op(params.beta, M)
         a = a_factor(params.beta, M)
+        if sigma_x1 is None:
+            sigma_x1 = result.costs.sigma(result.traj.states[0])
         bound = (params.alpha_hi / (1.0 - a)) * float(sigma_x1) \
             + w * params.gamma_bar_sq * energy
         satisfied = result.J <= bound * (1.0 + BOUND_REL_TOL) + 1e-15
@@ -193,23 +197,23 @@ def recursion_audit(
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)
     g2 = params.gamma_bar_sq
-    step_energy = np.sum(w_full.w[:T] ** 2, axis=1)  # index t-1 for step t
-    full = [t for t in sched.t_list if t + N - 1 <= T]  # 1-based starts
+    step_energy = np.sum(w_full.w[:T] ** 2, axis=1)
+    full = [s for s in sched.starts if s + N <= T]
     if len(full) < 2:
         return []  # the recursion needs a pair of full windows
     if not np.array_equal(w_full.w[:T], result.traj.disturbances):
         raise ValueError("w_full is not the disturbance sequence the run applied")
     states = result.traj.states
     K, f = result.laws
-    values = [_solver._law_rollout(sys, costs, states[t - 1], t - 1,
-                                   w_full.w[t - 1:t - 1 + N], K[:, i], f[:, i])[1]
-              for i, t in enumerate(full)]
+    values = [_solver._law_rollout(sys, costs, states[s], s, w_full.w[s:s + N],
+                                   K[:, i], f[:, i])[1]
+              for i, s in enumerate(full)]
     slacks = []
     for i in range(len(full) - 1):
-        t_a, t_b = full[i], full[i + 1]
-        s1 = float(np.sum(step_energy[t_a - 1:t_b - 1]))
-        s2 = float(np.sum(step_energy[t_b - 1:t_b - 1 + M]))
-        s3 = float(np.sum(step_energy[t_b - 1 + M:t_b - 1 + N]))
+        s_a, s_b = full[i], full[i + 1]
+        s1 = float(np.sum(step_energy[s_a:s_b]))
+        s2 = float(np.sum(step_energy[s_b:s_b + M]))
+        s3 = float(np.sum(step_energy[s_b + M:s_b + N]))
         rhs = a * values[i] + params.beta * g2 * s1 \
             + (params.beta + 1.0) * g2 * s2 + g2 * s3
         slacks.append(rhs - values[i + 1])

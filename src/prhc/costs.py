@@ -34,16 +34,12 @@ __all__ = [
     "SetDistanceCost",
     "EnvelopeParams",
     "total_cost",
-    "sigma_eval",
     "estimate_alpha_lower",
     "estimate_gamma_alpha_upper",
     "estimate_params",
     "quadratic_value_form",
 ]
 
-# disturbance components of generated scenarios are uniform on [W_LOW, W_HIGH]
-W_LOW = 0.0
-W_HIGH = 1.0
 # relative slack of the exact envelope's game-sweep screen: _game_certifies
 # steps and tests a window at level c at (1 - SCREEN_MARGIN)c, so a window
 # leaves gamma_bar_sq's search only if its lambda_max(P_ww) lies this fraction
@@ -145,14 +141,6 @@ class QuadraticCost(SeparableCost):
         self.Q_seq = Q
         self.R_seq = R
         self.length = Q.shape[0]
-
-    @property
-    def n(self):
-        return self.Q_seq.shape[1]
-
-    @property
-    def m(self):
-        return self.R_seq.shape[1]
 
     def state_cost(self, t, x):
         return _form(np.asarray(x, dtype=float), self.Q_seq[t])
@@ -367,11 +355,6 @@ def _stage_costs(costs: CostModel, t, x, u) -> float:
         raise ValueError(f"the {t.size} stage costs from step {t[0]} sum past the float "
                          "range; the cost model or the trajectory is broken")
     return total
-
-
-def sigma_eval(costs: CostModel, x) -> float:
-    """The model's state weight sigma(x)."""
-    return float(costs.sigma(np.asarray(x, dtype=float)))
 
 
 def estimate_alpha_lower(costs: CostModel) -> float:

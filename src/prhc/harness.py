@@ -20,8 +20,6 @@ import numpy as np
 
 from .bounds import certify
 from .costs import (
-    W_HIGH,
-    W_LOW,
     CostModel,
     EnvelopeParams,
     NonConvexCost,
@@ -29,7 +27,6 @@ from .costs import (
     SeparableCost,
     SetDistanceCost,
     estimate_params,
-    sigma_eval,
 )
 from .linsys import DisturbanceSequence, LinearSystem, _propagate
 from .policy import build_schedule, run_policy
@@ -61,6 +58,7 @@ EVAL_CHUNK = 1 << 16         # (prefix, input) pairs per scan block; sized to st
 
 # the fixed experiment family (see ScenarioConfig)
 A_LOW = 0.0
+W_LOW, W_HIGH = 0.0, 1.0
 Q_LOW, Q_HIGH = 1.0, 3.0
 WELL_OFFSET = 0.2
 WEIGHT_FLOOR = 0.05
@@ -74,7 +72,7 @@ class ScenarioConfig:
 
     The rest of the experiment family is fixed by module constants: A
     entries uniform on [A_LOW, a_high] = [0, 1] by default, disturbance
-    components uniform on [costs.W_LOW, costs.W_HIGH] = [0, 1], quadratic
+    components uniform on [W_LOW, W_HIGH] = [0, 1], quadratic
     cost diagonals uniform on [Q_LOW, Q_HIGH] = [1, 3], cubic-well offset
     WELL_OFFSET = 0.2, and a target ball of radius RADIUS = 0.25 centered
     at coordinate CENTER_COORD = 0.5, with weights redrawn until all are at
@@ -276,12 +274,11 @@ def run_comparison(sc: Scenario, params: EnvelopeParams | None = None,
         beta, gamma_sq, certified = (
             (0.0, math.inf, False) if params is None
             else (params.beta, params.gamma_bar_sq, params.certified))
-        sigma1 = sigma_eval(sc.costs, sc.x1)
         rows = []
         for name, M in sc.policies:
             sched = build_schedule(sc.N, M, sc.T)
             res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
-            cert = certify(res, params, sched, sigma_x1=sigma1)
+            cert = certify(res, params)
             rows.append(ReportRow(
                 seed=sc.seed, cost_kind=sc.cost_kind, policy=name,
                 n=sc.sys.n, m=sc.sys.m, T=sc.T, N=sc.N, M=M,
@@ -586,7 +583,14 @@ def _fmt(value) -> str:
 
 
 def _row_dict(row: ReportRow) -> dict:
-    return {name: getattr(row, name) for name in _COLUMNS}
+    """A JSON row: a non-finite float is written as its CSV token, a string,
+    because JSON (RFC 8259) has no Infinity or NaN."""
+    doc = {}
+    for name in _COLUMNS:
+        value = getattr(row, name)
+        finite = not isinstance(value, float) or math.isfinite(value)
+        doc[name] = value if finite else _fmt(value)
+    return doc
 
 
 def emit_report(report: ExperimentReport, format: str, path) -> None:
@@ -599,7 +603,7 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
         payload = "\n".join(lines) + "\n"
     elif format == "json":
         doc = {"config": report.config, "rows": [_row_dict(r) for r in rows]}
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be csv or json, got {format!r}")
     if hasattr(path, "write"):
@@ -624,7 +628,10 @@ def _parse_cell(i: int, name: str, text: str):
 
 
 def _json_row(i: int, entry) -> ReportRow:
-    """Row i of a JSON report: exactly the ReportRow keys, each of its JSON type."""
+    """Row i of a JSON report: exactly the ReportRow keys, each of its JSON
+    type. A float column also takes the strings "inf", "-inf" and "nan", as
+    emit_report writes non-finite floats, and the bare Infinity and NaN of
+    older reports."""
     if not isinstance(entry, dict):
         raise ValueError(f"JSON row {i} is not an object")
     missing = [n for n in _COLUMNS if n not in entry]
@@ -634,6 +641,8 @@ def _json_row(i: int, entry) -> ReportRow:
     cells = {}
     for name, kind in _COLUMNS.items():
         value = entry[name]
+        if kind is float and value in ("inf", "-inf", "nan"):
+            value = float(value)
         # a float column takes any JSON number; only a bool column takes a bool
         ok = (isinstance(value, (int, float) if kind is float else kind)
               and (kind is bool or not isinstance(value, bool)))

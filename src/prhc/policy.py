@@ -2,8 +2,10 @@
 
 The overlap policy replans every N-M steps, keeping an M-step overlap between
 consecutive planning windows; the standard baseline is the M=N-1 special case
-(replan every step). Interval start times are 1-based to match the reporting
-convention; array indices inside are 0-based.
+(replan every step). The paper writes the replanning times as
+t_i = (i-1)(N-M)+1; here window starts are 0-based, s_i = (i-1)(N-M), like
+every other step index in the package, so the window from start s covers
+steps s..s+N-1 and an error names a window by its start.
 """
 
 from __future__ import annotations
@@ -28,27 +30,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RhcSchedule:
-    """Replanning schedule: window starts t_i = (i-1)(N-M)+1, truncated at T."""
+    """Replanning schedule: 0-based window starts (0, N-M, 2(N-M), ...), the
+    paper's t_i less one, truncated at T."""
 
     N: int
     M: int
     T: int
-    t_list: tuple
+    starts: tuple
 
     @property
     def truncated_tail(self) -> bool:
         """True when the last window extends past T and was shortened."""
-        return self.t_list[-1] + self.N - 1 > self.T
+        return self.starts[-1] + self.N > self.T
 
     def horizon_at(self, i: int) -> int:
-        """Inner horizon of interval i (0-based index into t_list)."""
-        return min(self.N, self.T - self.t_list[i] + 1)
+        """Inner horizon of interval i (0-based index into starts)."""
+        return min(self.N, self.T - self.starts[i])
 
     def applied_at(self, i: int) -> int:
         """Number of inputs taken from interval i's solution."""
-        if i + 1 < len(self.t_list):
-            return self.t_list[i + 1] - self.t_list[i]
-        return self.T - self.t_list[i] + 1
+        if i + 1 < len(self.starts):
+            return self.starts[i + 1] - self.starts[i]
+        return self.T - self.starts[i]
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class RunResult:
 
 
 def build_schedule(N: int, M: int, T: int) -> RhcSchedule:
-    """Window starts (1-based) for preview N, overlap M, task horizon T.
+    """Window starts (0-based) for preview N, overlap M, task horizon T.
 
     N = T collapses to a single window covering the whole task, which has no
     next window to overlap, so M = N is allowed there; otherwise M < N, the
@@ -97,12 +100,8 @@ def build_schedule(N: int, M: int, T: int) -> RhcSchedule:
         raise ValueError(f"overlap must satisfy M < N, got M={M}, N={N}")
     if N > T:
         raise ValueError(f"preview must satisfy N <= T, got N={N}, T={T}")
-    if N == T:
-        t_list = (1,)
-    else:
-        step = N - M
-        t_list = tuple(range(1, T + 1, step))
-    return RhcSchedule(N=N, M=M, T=T, t_list=t_list)
+    starts = (0,) if N == T else tuple(range(0, T, N - M))
+    return RhcSchedule(N=N, M=M, T=T, starts=starts)
 
 
 def run_policy(
@@ -112,7 +111,7 @@ def run_policy(
     x1,
     sched: RhcSchedule,
 ) -> RunResult:
-    """Roll the policy over [1, T]: at each window start observe the state,
+    """Roll the policy over steps 0..T-1: at each window start observe the state,
     solve the previewed window problem, apply the leading inputs.
 
     A quadratic model's windows are solved together: one backward Riccati
@@ -146,8 +145,8 @@ def run_policy(
             f"but the task horizon is T={T}"
         )
     if isinstance(costs, QuadraticCost):
-        W = len(sched.t_list)
-        starts = np.array(sched.t_list) - 1
+        W = len(sched.starts)
+        starts = np.array(sched.starts)
         K, f = _solver._window_laws(sys, costs, w_full.w, starts, sched.N)
         # step t applies the law of its window at offset t - start
         win = np.repeat(np.arange(W), [sched.applied_at(i) for i in range(W)])
@@ -162,14 +161,14 @@ def run_policy(
         inputs = np.empty((T, sys.m))
         stops = []
         sol = None
-        for i, t_i in enumerate(sched.t_list):
+        for i, s in enumerate(sched.starts):
             applied = sched.applied_at(i)
-            done = t_i - 1 + applied  # steps taken once this interval's inputs are in
+            done = s + applied  # steps taken once this interval's inputs are in
             sol = _solve_window(sys, costs, w_full, x, sched, i, sol)
             stops.append(WindowStop(converged=sol.converged, iterations=sol.iterations))
             u_applied = sol.u_opt[:applied]
-            states[t_i - 1:done + 1] = _propagate(sys, x, u_applied, w_full.w[t_i - 1:done])
-            inputs[t_i - 1:done] = u_applied
+            states[s:done + 1] = _propagate(sys, x, u_applied, w_full.w[s:done])
+            inputs[s:done] = u_applied
             x = states[done]
 
     traj = Trajectory(
@@ -190,11 +189,10 @@ def run_policy(
 def _solve_window(sys, costs, w_full, x, sched, i, previous):
     """Interval i's solution from state x, warm-started from the unapplied
     tail of the previous solution."""
-    t_i = sched.t_list[i]
+    s = sched.starts[i]
     N_i = sched.horizon_at(i)
-    window = w_full.window(t_i - 1, t_i - 1 + N_i)
     problem = HorizonProblem(
-        sys=sys, x0=x, costs=costs, t0=t_i - 1, w_preview=window, N=N_i
+        sys=sys, x0=x, costs=costs, t0=s, w_preview=w_full.window(s, s + N_i), N=N_i
     )
     u0 = None
     if i > 0:
@@ -206,5 +204,5 @@ def _solve_window(sys, costs, w_full, x, sched, i, previous):
         return _solver.solve(problem, u0=u0)
     except RuntimeError as exc:
         raise RuntimeError(
-            f"solver failed on interval {i + 1} starting at t={t_i}: {exc}"
+            f"solver failed on the window from start {s} (interval {i + 1}): {exc}"
         ) from exc

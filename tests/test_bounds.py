@@ -145,6 +145,19 @@ class TestCertify:
             if cert.energy > 0:
                 assert cert.gain * cert.energy == pytest.approx(cert.J, rel=1e-9)
 
+    def test_reads_sigma_of_the_runs_initial_state(self):
+        # from x1 = (3, 3) with small disturbances, the sigma(x1) term carries
+        # the bound: without it the bound read 3.03 < J = 49.63
+        sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", T=100, N=60))
+        params = estimate_params(sc.sys, sc.costs, 60)
+        w = DisturbanceSequence.from_array(0.01 * sc.w_full.w)
+        res = run_policy(sc.sys, sc.costs, w, np.full(2, 3.0), build_schedule(60, 30, 100))
+        cert = certify(res, params)
+        assert cert.J == pytest.approx(49.63, abs=5e-3)
+        assert cert.bound == certify(res, params, sigma_x1=18.0).bound
+        assert cert.bound == pytest.approx(3273.0, abs=0.1)
+        assert cert.satisfied
+
     def test_failed_conditions_yield_infinite_bound(self):
         sc = compliant_quadratic_scenario(0, spike=False)
         res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
@@ -276,16 +289,16 @@ class TestRecursionAudit:
 
     @staticmethod
     def reference_slacks(res, params, w, values):
-        """The recursion's slacks from window values keyed by 1-based start."""
+        """The recursion's slacks from window values keyed by start."""
         sched = res.schedule
         N, M, T = sched.N, sched.M, sched.T
         a, g2, beta = a_factor(params.beta, M), params.gamma_bar_sq, params.beta
         e = np.sum(w.w[:T] ** 2, axis=1)
-        full = [t for t in sched.t_list if t + N - 1 <= T]
-        return [a * values[t_a] + beta * g2 * e[t_a - 1:t_b - 1].sum()
-                + (beta + 1.0) * g2 * e[t_b - 1:t_b - 1 + M].sum()
-                + g2 * e[t_b - 1 + M:t_b - 1 + N].sum() - values[t_b]
-                for t_a, t_b in zip(full, full[1:])]
+        full = [s for s in sched.starts if s + N <= T]
+        return [a * values[s_a] + beta * g2 * e[s_a:s_b].sum()
+                + (beta + 1.0) * g2 * e[s_b:s_b + M].sum()
+                + g2 * e[s_b + M:s_b + N].sum() - values[s_b]
+                for s_a, s_b in zip(full, full[1:])]
 
     def test_unstable_long_run_matches_value_forms(self):
         # seed 4 at T=100 has rho(A) = 1.34: dense normal equations for its
@@ -295,9 +308,9 @@ class TestRecursionAudit:
         params = make_params(0.5)  # M = 50 > 1/beta^2 = 4
         res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
         values = {}
-        for t in (1, 11, 21, 31, 41):
-            z = np.concatenate([res.traj.states[t - 1], sc.w_full.w[t - 1:t + 59].ravel()])
-            values[t] = z @ quadratic_value_form(sc.sys, sc.costs, t - 1, 60) @ z
+        for s in (0, 10, 20, 30, 40):
+            z = np.concatenate([res.traj.states[s], sc.w_full.w[s:s + 60].ravel()])
+            values[s] = z @ quadratic_value_form(sc.sys, sc.costs, s, 60) @ z
         slacks = recursion_audit(res, params, sc.sys, sc.costs, sc.w_full)
         assert len(slacks) == 4
         np.testing.assert_allclose(

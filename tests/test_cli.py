@@ -17,7 +17,7 @@ from prhc.harness import CSV_HEADER, load_report
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
-        [sys.executable, "-m", "prhc", *[str(a) for a in args]],
+        [sys.executable, "-W", "error", "-m", "prhc", *[str(a) for a in args]],
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == expect, (
@@ -168,6 +168,16 @@ class TestStoredReports:
         proc = run_cli("audit", "--in", out)
         assert "0 failures" in proc.stdout
         assert re.search(r"(pass|skipped)", proc.stdout)
+
+    def test_audit_checks_a_row_with_a_pair_of_full_windows(self, tmp_path):
+        # N = 60, M = 30 over T = 100: starts 0 and 30 are full windows and
+        # M = 30 passes the stability threshold, so the row is audited
+        out = tmp_path / "run.csv"
+        run_cli("run", "--seed", 0, "--T", 100, "--N", 60, "--out", out)
+        lines = run_cli("audit", "--in", out).stdout.splitlines()
+        assert re.fullmatch(r"row 0: seed=0 quadratic overlap N=60 M=30 intervals=1 "
+                            r"min_slack=\d\.\d{3}e\+\d{2} pass", lines[0])
+        assert lines[-1] == "audit: 1 rows, 0 failures"
 
     def test_missing_input_fails(self, tmp_path):
         run_cli("certify", "--in", tmp_path / "absent.json", expect=2)

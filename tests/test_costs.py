@@ -16,7 +16,6 @@ from prhc.costs import (
     estimate_gamma_alpha_upper,
     estimate_params,
     quadratic_value_form,
-    sigma_eval,
     total_cost,
 )
 from prhc import costs as costs_mod, harness
@@ -223,15 +222,15 @@ class TestStageCostCheck:
 
 class TestSigmaEval:
     def test_quadratic_norm_squared(self):
-        assert sigma_eval(make_quad(), [3.0, 4.0]) == 25.0
+        assert make_quad().sigma([3.0, 4.0]) == 25.0
 
     def test_set_distance_inside_ball(self):
         costs = SetDistanceCost([0.5], center=[0.5, 0.5], radius=0.25)
-        assert sigma_eval(costs, [0.5, 0.5]) == 0.0
+        assert costs.sigma([0.5, 0.5]) == 0.0
 
     def test_set_distance_hand_value(self):
         costs = SetDistanceCost([0.5], center=[0.5], radius=0.25)
-        assert sigma_eval(costs, [1.0]) == pytest.approx(0.0625, abs=1e-15)
+        assert costs.sigma([1.0]) == pytest.approx(0.0625, abs=1e-15)
 
 
 class TestAlphaLower:

@@ -539,6 +539,25 @@ class TestReports:
             assert back.rows == rep.sorted_rows()
         assert load_report(tmp_path / "report.json").config == rep.config
 
+    def test_json_is_strict_and_round_trips_non_finite_floats(self, tmp_path):
+        # JSON has no Infinity or NaN: a nonconvex row's infinite
+        # gamma_bar_sq and bound and its nan omega_op are the CSV's tokens
+        sc = gen_scenario(0, ScenarioConfig(cost_kind="nonconvex", T=6, N=3))
+        rep = ExperimentReport(rows=run_comparison(sc))
+        path = tmp_path / "nc.json"
+        emit_report(rep, "json", path)
+
+        def refuse(token):
+            raise ValueError(f"not RFC 8259 JSON: {token}")
+
+        row = json.loads(path.read_text(), parse_constant=refuse)["rows"][0]
+        assert (row["gamma_bar_sq"], row["omega_op"], row["bound"]) == ("inf", "nan", "inf")
+        assert load_report(path).rows == rep.rows
+        # older reports wrote the bare Infinity and NaN, which still load
+        path.write_text(json.dumps({"rows": [dataclasses.asdict(r) for r in rep.rows]}))
+        assert "Infinity" in path.read_text()
+        assert load_report(path).rows == rep.rows
+
     def test_older_scenario_block_loads(self, tmp_path):
         # reports written before the family settings became constants echo
         # fifteen scenario fields; the config block is kept as written

@@ -26,32 +26,32 @@ def random_quad(rng, n, m, T):
 
 class TestBuildSchedule:
     def test_step_three(self):
-        assert build_schedule(6, 3, 15).t_list == (1, 4, 7, 10, 13)
+        assert build_schedule(6, 3, 15).starts == (0, 3, 6, 9, 12)
 
     def test_replan_every_step(self):
-        assert build_schedule(6, 5, 8).t_list == (1, 2, 3, 4, 5, 6, 7, 8)
+        assert build_schedule(6, 5, 8).starts == (0, 1, 2, 3, 4, 5, 6, 7)
 
     def test_step_two(self):
-        assert build_schedule(4, 2, 5).t_list == (1, 3, 5)
+        assert build_schedule(4, 2, 5).starts == (0, 2, 4)
 
     def test_single_window_when_preview_covers_task(self):
         sched = build_schedule(5, 2, 5)
-        assert sched.t_list == (1,)
+        assert sched.starts == (0,)
         assert not sched.truncated_tail
 
     def test_consecutive_gaps_and_coverage(self):
         sched = build_schedule(6, 3, 15)
-        gaps = np.diff(sched.t_list)
+        gaps = np.diff(sched.starts)
         assert np.all(gaps == sched.N - sched.M)
-        assert sched.t_list[0] == 1 and sched.t_list[-1] <= 15
-        applied = sum(sched.applied_at(i) for i in range(len(sched.t_list)))
+        assert sched.starts[0] == 0 and sched.starts[-1] < 15
+        applied = sum(sched.applied_at(i) for i in range(len(sched.starts)))
         assert applied == 15
 
     def test_truncated_tail_flag(self):
-        # any N < T schedule overruns T (last start >= T-N+M+1), so only the
-        # single-window N = T case escapes truncation
-        assert build_schedule(6, 3, 15).truncated_tail  # last window 13..18
-        assert build_schedule(4, 2, 6).truncated_tail   # last window 5..8
+        # any N < T schedule overruns steps 0..T-1 (last start >= T-N+M), so
+        # only the single-window N = T case escapes truncation
+        assert build_schedule(6, 3, 15).truncated_tail  # last window 12..17
+        assert build_schedule(4, 2, 6).truncated_tail   # last window 4..7
         assert not build_schedule(6, 3, 6).truncated_tail
 
     def test_rejects_overlap_too_small(self):
@@ -64,8 +64,8 @@ class TestBuildSchedule:
 
     def test_full_preview_allows_overlap_at_preview(self):
         # one window covers the task, so there is no next window to overlap
-        assert build_schedule(1, 1, 1).t_list == (1,)
-        assert build_schedule(3, 3, 3).t_list == (1,)
+        assert build_schedule(1, 1, 1).starts == (0,)
+        assert build_schedule(3, 3, 3).starts == (0,)
         with pytest.raises(ValueError, match="M < N"):
             build_schedule(3, 4, 3)
 
@@ -92,7 +92,7 @@ class TestRunPolicy:
         x1 = rng.uniform(-1, 1, 2)
         for M in (1, 3, 5):
             res = run_policy(sys, costs, w, x1, build_schedule(6, M, 6))
-            assert len(res.schedule.t_list) == 1
+            assert len(res.schedule.starts) == 1
             batch = solve_quadratic(HorizonProblem(
                 sys=sys, x0=x1, costs=costs, t0=0, w_preview=w, N=6))
             assert res.J == pytest.approx(batch.value, rel=1e-9)
@@ -130,12 +130,12 @@ class TestRunPolicy:
         w = DisturbanceSequence.from_array(np.full((9, 2), 0.3))
         sched = build_schedule(4, 2, 9)
         run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2), sched)
-        assert calls == [t - 1 for t in sched.t_list]
+        assert calls == list(sched.starts)
         calls.clear()
         res = run_policy(sys, random_quad(np.random.default_rng(3), 2, 1, 9), w,
                          np.zeros(2), sched)
         assert calls == []
-        assert len(res.interval_solutions) == len(sched.t_list)
+        assert len(res.interval_solutions) == len(sched.starts)
 
     def test_quadratic_run_makes_no_gradient_calls(self, monkeypatch):
         calls = []
@@ -173,7 +173,7 @@ class TestRunPolicy:
         assert res.interval_solutions == tuple(
             WindowStop(converged=s.converged, iterations=s.iterations) for s in returned)
         assert received[0] is None
-        for i in range(1, len(sched.t_list)):
+        for i in range(1, len(sched.starts)):
             tail = returned[i - 1].u_opt[sched.applied_at(i - 1):]
             expected = np.zeros((sched.horizon_at(i), sys.m))
             keep = min(len(tail), len(expected))
@@ -230,7 +230,8 @@ class TestRunPolicy:
         monkeypatch.setattr(prhc.solver, "solve", failing)
         sys = LinearSystem(A=[[0.5, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]])
         w = DisturbanceSequence.from_array(np.full((6, 2), 0.1))
-        with pytest.raises(RuntimeError, match="interval 2"):
+        with pytest.raises(RuntimeError,
+                           match=r"window from start 2 \(interval 2\): iteration 1"):
             run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2),
                        build_schedule(3, 1, 6))
 
@@ -246,6 +247,30 @@ class TestRunPolicy:
         w = DisturbanceSequence.from_array(np.full((6, 1), 0.1))
         with pytest.raises(ValueError, match="window from start 2 is not finite"):
             run_policy(sys, costs, w, [0.0], build_schedule(3, 1, 6))
+
+    def test_descent_and_law_sweep_name_a_failed_window_alike(self, monkeypatch):
+        # starts 0, 2, 4: a failed descent and a failed law sweep both name
+        # the window from 0-based start 2, the way every step index is named
+        sys = LinearSystem(A=0.5 * np.eye(2), B=np.ones((2, 1)))
+        w = DisturbanceSequence.from_array(np.full((6, 2), 0.1))
+        sched = build_schedule(3, 1, 6)
+        costs = QuadraticCost(np.stack([np.eye(2)] * 6), np.ones((6, 1, 1)))
+        Q = costs.Q_seq.copy()
+        Q[3] = np.nan
+        monkeypatch.setattr(costs, "Q_seq", Q)
+        with pytest.raises(ValueError) as sweep:
+            run_policy(sys, costs, w, np.zeros(2), sched)
+
+        def failing(p, cfg=None, u0=None):
+            if p.t0 == 2:
+                raise RuntimeError("iteration 1: non-finite gradient encountered")
+            return prhc.solver.solve_general(p, cfg, u0=u0)
+
+        monkeypatch.setattr(prhc.solver, "solve", failing)
+        with pytest.raises(RuntimeError) as descent:
+            run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2), sched)
+        assert "window from start 2 " in str(sweep.value)
+        assert "window from start 2 " in str(descent.value)
 
     def test_normal_matrix_without_cholesky_factor_names_its_window_start(
             self, monkeypatch):
@@ -293,13 +318,12 @@ def dense_run_cost(sys, costs, w, x1, sched):
     the reference for the batched quadratic path."""
     x = np.asarray(x1, dtype=float)
     inputs = []
-    for i, t_i in enumerate(sched.t_list):
+    for i, s in enumerate(sched.starts):
         h = sched.horizon_at(i)
-        sol = solve_quadratic(HorizonProblem(sys=sys, x0=x, costs=costs, t0=t_i - 1,
-                                             w_preview=w.window(t_i - 1, t_i - 1 + h),
-                                             N=h))
+        sol = solve_quadratic(HorizonProblem(sys=sys, x0=x, costs=costs, t0=s,
+                                             w_preview=w.window(s, s + h), N=h))
         u = sol.u_opt[:sched.applied_at(i)]
-        x = rollout(sys, x, u, w.w[t_i - 1:t_i - 1 + len(u)]).states[-1]
+        x = rollout(sys, x, u, w.w[s:s + len(u)]).states[-1]
         inputs.append(u)
     traj = rollout(sys, x1, np.concatenate(inputs), w.w[:sched.T])
     return total_cost(traj, costs)
@@ -335,14 +359,13 @@ def per_window_propagation(sys, costs, w, x1, sched):
     """States and inputs of a run that propagates each window's law on its
     own, window after window: the bitwise reference for the one propagation
     of a quadratic run."""
-    starts = np.array(sched.t_list) - 1
-    K, f = prhc.solver._window_laws(sys, costs, w.w, starts, sched.N)
+    K, f = prhc.solver._window_laws(sys, costs, w.w, np.array(sched.starts), sched.N)
     x = np.asarray(x1, dtype=float)
     states, inputs = [x[None]], []
-    for i, t_i in enumerate(sched.t_list):
+    for i, s in enumerate(sched.starts):
         applied = sched.applied_at(i)
         u = -f[:applied, i]
-        xs = _propagate(sys, x, u, w.w[t_i - 1:t_i - 1 + applied], K[:applied, i])
+        xs = _propagate(sys, x, u, w.w[s:s + applied], K[:applied, i])
         states.append(xs[1:])
         inputs.append(u)
         x = xs[-1]
@@ -362,14 +385,14 @@ def test_batched_quadratic_run_equals_per_window_solves():
         # solves, and the states and inputs those of per-window propagations
         sys, costs, w, x1, sched = case
         res = run_policy(sys, costs, w, x1, sched)
-        assert len(res.interval_solutions) == len(sched.t_list)
-        for i, t_i in enumerate(sched.t_list):
+        assert len(res.interval_solutions) == len(sched.starts)
+        for i, s in enumerate(sched.starts):
             h = sched.horizon_at(i)
             applied = sched.applied_at(i)
             ref = solve_quadratic(HorizonProblem(
-                sys=sys, x0=res.traj.states[t_i - 1], costs=costs, t0=t_i - 1,
-                w_preview=w.window(t_i - 1, t_i - 1 + h), N=h)).u_opt[:applied]
-            u = res.traj.inputs[t_i - 1:t_i - 1 + applied]
+                sys=sys, x0=res.traj.states[s], costs=costs, t0=s,
+                w_preview=w.window(s, s + h), N=h)).u_opt[:applied]
+            u = res.traj.inputs[s:s + applied]
             assert np.all(np.abs(u - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
             assert res.interval_solutions[i] == WindowStop(converged=True, iterations=0)
         assert res.J == pytest.approx(dense_run_cost(sys, costs, w, x1, sched), rel=1e-9)
@@ -388,7 +411,7 @@ class TestStandardRhc:
         w = DisturbanceSequence.from_array(np.full((T, 1), 0.25))
         res = run_policy(sys, costs, w, [0.0], build_schedule(N, N - 1, T))
         assert res.schedule.M == 2
-        assert res.schedule.t_list == tuple(range(1, T + 1))
+        assert res.schedule.starts == tuple(range(T))
 
     def test_full_preview_case_matches_policy(self):
         rng = np.random.default_rng(9)
