@@ -41,13 +41,18 @@ def _gap(beta: float, M: int) -> float:
         raise ValueError(f"beta must not exceed 1, got {beta}")
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
-    g = beta * (1.0 - 1.0 / (beta * beta * M))
+    g = beta * (1.0 - 1.0 / (beta * beta * M)) if beta * beta else -math.inf
     if not 1.0 - g < 1.0:
         raise ValueError(
             f"stability threshold violated: requires M > 1/beta^2 = "
-            f"{1.0 / (beta * beta):.6g}, got M={M}"
+            f"{_threshold(beta):.6g}, got M={M}"
         )
     return g
+
+
+def _threshold(beta: float) -> float:
+    """1/beta^2, inf where beta^2 underflows to 0 and no M passes."""
+    return 1.0 / (beta * beta) if beta * beta else math.inf
 
 
 def kappa(beta: float, M: int) -> float:
@@ -111,8 +116,9 @@ def certify(
     N >= 2M and M > 1/beta^2, with omega = omega_op(beta, M) and
     gamma_bar_sq the window-envelope constant of params, where the abstract
     claims (2/beta + rho(N)) times the oracle's best gain for N > 4/beta^3.
-    sigma_x1=None reads sigma(x_1) from the run, as
-    result.costs.sigma(result.traj.states[0]); pass a value to override it.
+    A sched other than the run's own raises ValueError. sigma_x1=None reads
+    sigma(x_1) from the run, as result.costs.sigma(result.traj.states[0]);
+    pass a value to override it.
     Failed preconditions never raise; they yield an infinite bound with
     satisfied=False so batch reports stay total. params=None means the run's
     cost has no envelope: the failed condition "envelope exists" takes the
@@ -120,9 +126,11 @@ def certify(
     a_factor return; its margin is M - 1/beta^2 as computed, which can read
     a few ulps positive where the test on the contraction gap fails.
     """
-    if sched is None:
-        sched = result.schedule
-    N, M = sched.N, sched.M
+    own = result.schedule
+    if sched is not None and sched != own:
+        raise ValueError(f"certify takes the run's own schedule (N={own.N}, M={own.M}, "
+                         f"T={own.T}), got N={sched.N}, M={sched.M}, T={sched.T}")
+    N, M = own.N, own.M
     if params is None:
         envelope = ("envelope exists", False, math.nan)
     else:
@@ -130,7 +138,7 @@ def certify(
             stable = _gap(params.beta, M) > 0
         except ValueError:
             stable = False
-        envelope = ("M > 1/beta^2", stable, float(M - 1.0 / (params.beta * params.beta)))
+        envelope = ("M > 1/beta^2", stable, M - _threshold(params.beta))
     conditions = (("N >= 2M", N >= 2 * M, float(N - 2 * M)), envelope)
     energy = float(np.sum(result.traj.disturbances ** 2))
     gain = result.J / energy if energy > 0 else float("nan")
@@ -182,7 +190,8 @@ def recursion_audit(
     QuadraticCost) raises ValueError, as do a run that keeps no law table,
     a sys or costs other than the objects the run was given, a w_full other
     than the disturbances it applied, and a stability threshold the run's M
-    does not pass.
+    does not pass; a run with fewer than two full windows passes these
+    checks before it returns no slacks.
     """
     if params is None or not isinstance(costs, QuadraticCost):
         raise ValueError(f"no envelope for {type(costs).__name__}: the recursion "
@@ -197,12 +206,12 @@ def recursion_audit(
     N, M, T = sched.N, sched.M, sched.T
     a = a_factor(params.beta, M)
     g2 = params.gamma_bar_sq
+    if not np.array_equal(w_full.w[:T], result.traj.disturbances):
+        raise ValueError("w_full is not the disturbance sequence the run applied")
     step_energy = np.sum(w_full.w[:T] ** 2, axis=1)
     full = [s for s in sched.starts if s + N <= T]
     if len(full) < 2:
         return []  # the recursion needs a pair of full windows
-    if not np.array_equal(w_full.w[:T], result.traj.disturbances):
-        raise ValueError("w_full is not the disturbance sequence the run applied")
     states = result.traj.states
     K, f = result.laws
     values = [_solver._law_rollout(sys, costs, states[s], s, w_full.w[s:s + N],

@@ -324,7 +324,8 @@ class EnvelopeParams:
             alpha_hi=alpha_hi,
             gamma_bar_sq=float(gamma_bar_sq),
             beta=beta,
-            zeta=max(1.0 / beta, 1.0 + 1e-9),
+            # beta = 0, as where alpha_lo / alpha_hi underflows, fails a named check
+            zeta=max(1.0 / beta if beta else np.inf, 1.0 + 1e-9),
         )
 
 
@@ -407,17 +408,17 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
     return P
 
 
-def _has_cholesky(S):
-    """Mask of the matrices of the stack S with a Cholesky factor. A batched
-    Cholesky raises on the first failure without naming it, so a failing
-    stack is split in halves until the failures are single matrices."""
+def _factors(S, factor=np.linalg.cholesky):
+    """Mask of the matrices of the stack S that factor (Cholesky) takes. A
+    batched factorization raises on the first failure without naming it, so
+    a failing stack is split in halves until the failures are single ones."""
     try:
-        np.linalg.cholesky(S)
+        factor(S)
     except np.linalg.LinAlgError:
         if len(S) == 1:
             return np.zeros(1, dtype=bool)
         half = len(S) // 2
-        return np.concatenate([_has_cholesky(S[:half]), _has_cholesky(S[half:])])
+        return np.concatenate([_factors(S[:half], factor), _factors(S[half:], factor)])
     return np.ones(len(S), dtype=bool)
 
 
@@ -430,7 +431,8 @@ def _riccati_step(A, B, Q, R, Lam, starts):
     Lam_k = Q + K'R K + A_cl'Lam A_cl (the Joseph form), a sum of PSD terms
     with no cancellation, symmetrized. The normal matrix of a window is
     positive definite exactly when all its U are, so a U without a Cholesky
-    factor raises ValueError naming starts[i], the start of its window.
+    factor, or whose overflowed entries give its inverse a zero pivot,
+    raises ValueError naming starts[i], the start of its window.
     K is the inverse of U times B'Lam A: a stacked solve with n right-hand
     sides takes over twice as long, and for m = 1 and n >= 2 gives the same
     bits, since both multiply by the pivot's reciprocal.
@@ -439,11 +441,11 @@ def _riccati_step(A, B, Q, R, Lam, starts):
     U = R + B.T @ LB
     try:
         np.linalg.cholesky(U)
+        K = np.linalg.inv(U) @ (LB.transpose(0, 2, 1) @ A)
     except np.linalg.LinAlgError as exc:
-        t0 = starts[int(np.argmin(_has_cholesky(U)))]
+        t0 = starts[int(np.argmin(_factors(U) & _factors(U, np.linalg.inv)))]
         raise ValueError(
             f"normal matrix of the window from start {t0} is singular: {exc}") from exc
-    K = np.linalg.inv(U) @ (LB.transpose(0, 2, 1) @ A)
     Acl = A - B @ K
     new = Q + K.transpose(0, 2, 1) @ R @ K + Acl.transpose(0, 2, 1) @ Lam @ Acl
     return U, K, Acl, 0.5 * (new + new.transpose(0, 2, 1))
@@ -519,12 +521,12 @@ def _game_certifies(sys, costs, N, starts, c):
             Pi = pi[:a]
             PiB = Pi @ B
             U = costs.R_seq[t] + B.T @ PiB
-            live = ok[:a] & _has_cholesky(U)
+            live = ok[:a] & _factors(U)
             U[~live] = np.eye(m)
             Pit = Pi - PiB @ np.linalg.solve(U, PiB.transpose(0, 2, 1))
             S = ca * eye - Pit
             S[~live] = eye
-            live &= _has_cholesky(S)
+            live &= _factors(S)
             new = costs.Q_seq[t] + ca * (A.T @ np.linalg.solve(S, Pit @ A))
             live &= np.isfinite(new).all(axis=(1, 2))
             new[~live] = 0.0

@@ -369,9 +369,8 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
     stage's own axes, so a prefix is costed once however many completions it
     has. Blocks hold at most EVAL_CHUNK (prefix, input) pairs and are visited
     in the grid's lexicographic order, so ties keep the first grid point.
-    Each stage writes its blocks' summed costs and next states into one pair
-    of buffers, allocated per call and reused block after block, which hold
-    at most (1 + n) * EVAL_CHUNK doubles.
+    Each block's summed costs and next states are fresh arrays of at most
+    (1 + n) * EVAL_CHUNK doubles.
 
     The last stage's next state is never costed, so for a SeparableCost a
     block there costs its rows plus its inputs, not every pair (see
@@ -398,15 +397,9 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
         inputs = [np.stack(np.meshgrid(*axes[t * m:(t + 1) * m], indexing="ij"),
                            axis=-1).reshape(-1, m) for t in range(T)]
         lifts = [u @ sc.sys.B.T for u in inputs[:-1]]
-        # per stage: (prefix rows, inputs) of a block, and buffers for its largest
-        # block; a stage's prefixes are at most one block of the stage before
+        # per stage: (prefix rows, inputs) of a block; a stage's prefixes are at
+        # most one block of the stage before
         blocks = [(max(1, EVAL_CHUNK // len(u)), min(len(u), EVAL_CHUNK)) for u in inputs]
-        vals_buf = []
-        size = 1
-        for rows, cols in blocks:
-            size = min(rows, size) * cols
-            vals_buf.append(np.empty(size))
-        x_buf = [np.empty((len(v), n)) for v in vals_buf[:-1]]
         # a separable model's last-stage input terms, with their first argmin,
         # where the inputs fit one column block and all their terms are finite;
         # tall is the last stage's tall row-block height, 0 where it keeps its
@@ -444,17 +437,12 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
                     xA = (xb @ A_T)[:, None, :]
                 for k0 in range(0, len(u), cols):
                     ub = u[k0:k0 + cols]
-                    pairs = len(cb) * len(ub)
-                    vals = vals_buf[t][:pairs].reshape(len(cb), len(ub))
-                    np.add(cb[:, None], costs.eval(t, xb[:, None, :], ub[None, :, :]),
-                           out=vals)
+                    vals = cb[:, None] + costs.eval(t, xb[:, None, :], ub[None, :, :])
                     if last:
                         flat = int(np.argmin(vals))
                         val, path = float(vals.flat[flat]), []
                     else:
-                        x_next = x_buf[t][:pairs].reshape(len(cb), len(ub), n)
-                        np.add(xA, lifts[t][None, k0:k0 + cols, :], out=x_next)
-                        x_next += w[t]
+                        x_next = (xA + lifts[t][None, k0:k0 + cols, :]) + w[t]
                         val, flat, path = scan(t + 1, x_next.reshape(-1, n),
                                                vals.reshape(-1))
                     if not val >= best[0]:  # strictly smaller, or NaN
@@ -469,7 +457,7 @@ def _grid_scan(sc: Scenario, axes: list) -> tuple:
             val, _row, path = scan(0, np.asarray(sc.x1, dtype=float).reshape(1, n),
                                    np.zeros(1))
         finally:
-            scan = None  # scan refers to itself; free its buffers without the cyclic GC
+            scan = None  # scan refers to itself; free its arrays without the cyclic GC
     if path is None:
         raise ValueError(
             f"no finite cost on the grid of {math.prod(len(a) for a in axes)} "

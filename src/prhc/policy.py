@@ -114,12 +114,11 @@ def run_policy(
     """Roll the policy over steps 0..T-1: at each window start observe the state,
     solve the previewed window problem, apply the leading inputs.
 
-    A quadratic model's windows are solved together: one backward Riccati
-    sweep over the window starts gives each window's affine law, and one
-    forward propagation applies each step's law from its window. Other
-    models solve each window with the default SolverConfig; each window
-    after the first warm-starts from the unapplied tail of the previous
-    window's solution, zero-padded to its horizon.
+    Each window applies its leading inputs by one _propagate from its
+    observed state: a quadratic model's window under its law, all laws from
+    one backward Riccati sweep over the window starts; any other under the
+    plan of a default-SolverConfig solve, warm-started from the unapplied
+    tail of the previous plan, zero-padded to its horizon.
     """
     T = sched.T
     if w_full.n != sys.n:
@@ -133,7 +132,6 @@ def run_policy(
             f"initial state has {x.size} entries "
             f"but the state dimension is n={sys.n}"
         )
-    x = x.reshape(sys.n)
     if len(w_full) < T:
         raise ValueError(
             f"disturbance sequence covers {len(w_full)} steps "
@@ -144,32 +142,28 @@ def run_policy(
             f"cost sequence covers {costs.length} stages "
             f"but the task horizon is T={T}"
         )
+    laws = None
     if isinstance(costs, QuadraticCost):
-        W = len(sched.starts)
-        starts = np.array(sched.starts)
-        K, f = _solver._window_laws(sys, costs, w_full.w, starts, sched.N)
-        # step t applies the law of its window at offset t - start
-        win = np.repeat(np.arange(W), [sched.applied_at(i) for i in range(W)])
-        off = np.arange(T) - starts[win]
-        inputs = -f[off, win]
-        states = _propagate(sys, x, inputs, w_full.w[:T], K[off, win])
-        stops = (WindowStop(converged=True, iterations=0),) * W
-        laws = (K, f)
-    else:
-        laws = None
-        states = np.empty((T + 1, sys.n))
-        inputs = np.empty((T, sys.m))
-        stops = []
-        sol = None
-        for i, s in enumerate(sched.starts):
-            applied = sched.applied_at(i)
-            done = s + applied  # steps taken once this interval's inputs are in
-            sol = _solve_window(sys, costs, w_full, x, sched, i, sol)
-            stops.append(WindowStop(converged=sol.converged, iterations=sol.iterations))
-            u_applied = sol.u_opt[:applied]
-            states[s:done + 1] = _propagate(sys, x, u_applied, w_full.w[s:done])
-            inputs[s:done] = u_applied
-            x = states[done]
+        laws = _solver._window_laws(sys, costs, w_full.w, np.array(sched.starts), sched.N)
+        # shared: a record per window read 0.25 MB more peak RSS on quadratic_scale
+        stop = WindowStop(converged=True, iterations=0)
+    states = np.empty((T + 1, sys.n))
+    states[0] = x.reshape(sys.n)
+    inputs = np.empty((T, sys.m))
+    stops = []
+    sol = None
+    for i, s in enumerate(sched.starts):
+        a = sched.applied_at(i)
+        done = s + a  # steps taken once this window's inputs are in
+        if laws is None:
+            sol = _solve_window(sys, costs, w_full, states[s], sched, i, sol)
+            stop = WindowStop(converged=sol.converged, iterations=sol.iterations)
+            u, K = sol.u_opt[:a], None
+        else:
+            u, K = -laws[1][:a, i], laws[0][:a, i]
+        stops.append(stop)
+        states[s:done + 1] = _propagate(sys, states[s], u, w_full.w[s:done], K)
+        inputs[s:done] = u
 
     traj = Trajectory(
         states=states, inputs=inputs, disturbances=w_full.w[:T].copy()
@@ -204,5 +198,5 @@ def _solve_window(sys, costs, w_full, x, sched, i, previous):
         return _solver.solve(problem, u0=u0)
     except RuntimeError as exc:
         raise RuntimeError(
-            f"solver failed on the window from start {s} (interval {i + 1}): {exc}"
+            f"solver failed on the window from start {s}: {exc}"
         ) from exc

@@ -233,7 +233,9 @@ def solve_general(p: HorizonProblem, cfg: SolverConfig | None = None,
         cfg = SolverConfig()
     dim = p.N * p.sys.m
     u0 = np.zeros(dim) if u0 is None else np.asarray(u0, dtype=float).reshape(dim)
-    u, value, iterations, converged = _descend(p, u0, cfg)
+    # quiet: an overflowing direction or step reaches the objective, which names it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, value, iterations, converged = _descend(p, u0, cfg)
     return HorizonSolution(
         u_opt=u.reshape(p.N, p.sys.m),
         value=value,

@@ -1,5 +1,6 @@
 """Closed-form gain constants, certificates, and the recursion audit."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -158,11 +159,26 @@ class TestCertify:
         assert cert.bound == pytest.approx(3273.0, abs=0.1)
         assert cert.satisfied
 
+    def test_refuses_a_schedule_the_run_did_not_follow(self):
+        # J and the disturbances are the run's: this run at M=30 certified to
+        # 30296 with its own schedule, and to inf when passed M=45
+        sc = gen_scenario(0, ScenarioConfig(cost_kind="quadratic", T=100, N=60))
+        params = estimate_params(sc.sys, sc.costs, 60)
+        sched = build_schedule(60, 30, 100)
+        res = run_policy(sc.sys, sc.costs, sc.w_full, sc.x1, sched)
+        cert = certify(res, params, sched)
+        assert cert == certify(res, params)
+        assert cert.bound == pytest.approx(30296.0, abs=1.0)
+        with pytest.raises(ValueError, match=r"run's own schedule \(N=60, M=30, T=100\), "
+                                             r"got N=60, M=45, T=100"):
+            certify(res, params, build_schedule(60, 45, 100))
+
     def test_failed_conditions_yield_infinite_bound(self):
         sc = compliant_quadratic_scenario(0, spike=False)
         res = run_policy(sc.sys, sc.costs, sc.w, sc.x1, sc.sched)
         bad_sched = build_schedule(sc.sched.N, 1, sc.sched.T)  # M=1 <= 1/beta^2
-        cert = certify(res, sc.params, bad_sched, sigma_x1=0.0)
+        cert = certify(dataclasses.replace(res, schedule=bad_sched), sc.params,
+                       sigma_x1=0.0)
         assert not cert.conditions_ok
         assert cert.bound == np.inf
         assert not cert.satisfied
@@ -191,11 +207,24 @@ class TestCertify:
         for f in (omega_op, a_factor):
             with pytest.raises(ValueError, match="stability threshold"):
                 f(params.beta, M)
-        cert = certify(edge_run(), params, build_schedule(36, M, 36))
+        cert = certify(dataclasses.replace(edge_run(), schedule=build_schedule(36, M, 36)),
+                       params)
         name, ok, margin = cert.conditions[-1]
         assert name == "M > 1/beta^2" and not ok and margin > 0
         assert cert.bound == np.inf and np.isnan(cert.omega)
         assert not cert.satisfied
+
+    def test_beta_whose_square_underflows_fails_its_condition(self):
+        # beta^2 rounds to 0, so 1/(beta^2 M) raised ZeroDivisionError; no M
+        # passes a threshold 1/beta^2 past the float range
+        params = EnvelopeParams.from_alphas(1e-162, 1.0, 1.0)
+        for f in (omega_op, a_factor):
+            with pytest.raises(ValueError, match=r"requires M > 1/beta\^2 = inf, got M=18"):
+                f(params.beta, 18)
+        cert = certify(dataclasses.replace(edge_run(), schedule=build_schedule(36, 18, 36)),
+                       params)
+        assert cert.conditions[-1] == ("M > 1/beta^2", False, -np.inf)
+        assert cert.bound == np.inf and not cert.satisfied
 
     def test_beta_rounding_above_one_is_refused_before_certify(self):
         # omega_op takes beta <= 1 exactly, so EnvelopeParams admits no more
@@ -204,7 +233,8 @@ class TestCertify:
                            beta=1 + 5e-13, zeta=1.5)
         params = EnvelopeParams(alpha_lo=1 + 5e-13, alpha_hi=1.0, gamma_bar_sq=1.0,
                                 beta=1.0, zeta=1.5)
-        cert = certify(edge_run(), params, build_schedule(36, 18, 36))
+        cert = certify(dataclasses.replace(edge_run(), schedule=build_schedule(36, 18, 36)),
+                       params)
         assert cert.conditions_ok and cert.omega == omega_op(1.0, 18)
 
     def test_no_envelope_fails_its_condition(self):
@@ -366,6 +396,19 @@ class TestRecursionAudit:
         res = run_policy(sys, costs, w, np.zeros(2), sched)
         params = make_params(0.6)
         assert recursion_audit(res, params, sys, costs, w) == []
+
+    def test_one_window_run_checks_its_disturbances(self):
+        # with no pair of full windows the audit returned [] before comparing
+        # w_full with the run, so an all-zero w_full passed
+        rng = np.random.default_rng(5)
+        sys = LinearSystem(A=rng.uniform(0, 0.3, (2, 2)), B=[[1.0], [1.0]])
+        costs = QuadraticCost(np.stack([np.eye(2)] * 6), np.ones((6, 1, 1)))
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (6, 2)))
+        res = run_policy(sys, costs, w, np.zeros(2), build_schedule(6, 6, 6))
+        params = make_params(0.6)
+        assert recursion_audit(res, params, sys, costs, w) == []
+        with pytest.raises(ValueError, match="not the disturbance sequence"):
+            recursion_audit(res, params, sys, costs, DisturbanceSequence.zeros(6, 2))
 
     def test_no_envelope_rejected(self):
         sc = compliant_quadratic_scenario(0, spike=False)

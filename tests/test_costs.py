@@ -419,6 +419,13 @@ class TestEnvelopeParams:
         assert q.beta == 0.25
         assert q.zeta == pytest.approx(4.0)
 
+    def test_from_alphas_refuses_a_ratio_that_underflows(self):
+        # 1/beta raised ZeroDivisionError before the named check on beta
+        with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
+            EnvelopeParams.from_alphas(1e-141, 1e200, gamma_bar_sq=1.0)
+        with pytest.raises(ValueError, match="alpha_lo must be positive, got 0.0"):
+            EnvelopeParams.from_alphas(0.0, 1.0, gamma_bar_sq=1.0)
+
 
 class TestGradients:
     def check_fd(self, costs, t, x, u, rel=1e-5):

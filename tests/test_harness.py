@@ -428,7 +428,7 @@ class TestBruteForceOracle:
          2, 2, 2, 0.5),
         (NonConvexCost(), 2, 1, 3, 0.25),
         # 401^2 points: the last stage spans three default blocks of 2^16
-        # pairs, each written into the same reused buffers
+        # pairs
         (QuadraticCost(np.ones((2, 1, 1)), np.ones((2, 1, 1))), 1, 1, 2, 0.01),
         # over budget: one scan per refinement level at the default block size
         (QuadraticCost(np.ones((3, 1, 1)), np.ones((3, 1, 1))), 1, 1, 3, 1e-3),
@@ -447,7 +447,7 @@ class TestBruteForceOracle:
 
     def test_scan_leaves_no_garbage(self):
         # the scan is a closure that refers to itself; a cycle would keep its
-        # buffers alive until the cyclic GC, which numpy allocations rarely run
+        # arrays alive until the cyclic GC, which numpy allocations rarely run
         sc = vector_scenario(QuadraticCost(np.ones((2, 1, 1)), np.ones((2, 1, 1))),
                              1, 1, 2)
         gc.collect()

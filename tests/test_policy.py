@@ -231,14 +231,13 @@ class TestRunPolicy:
         sys = LinearSystem(A=[[0.5, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]])
         w = DisturbanceSequence.from_array(np.full((6, 2), 0.1))
         with pytest.raises(RuntimeError,
-                           match=r"window from start 2 \(interval 2\): iteration 1"):
+                           match=r"window from start 2: iteration 1"):
             run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2),
                        build_schedule(3, 1, 6))
 
     def test_non_finite_window_law_reports_interval(self, monkeypatch):
         # a NaN stage weight reaches the laws of the windows that cover it
-        # and no earlier ones, so the first such window is interval 2, whose
-        # 0-based start is 2
+        # and no earlier ones, so the first such window is the one from start 2
         sys = LinearSystem(A=[[0.5]], B=[[1.0]])
         costs = scalar_quad(6)
         Q = costs.Q_seq.copy()
@@ -269,8 +268,8 @@ class TestRunPolicy:
         monkeypatch.setattr(prhc.solver, "solve", failing)
         with pytest.raises(RuntimeError) as descent:
             run_policy(sys, NonConvexCost(b=0.2), w, np.zeros(2), sched)
-        assert "window from start 2 " in str(sweep.value)
-        assert "window from start 2 " in str(descent.value)
+        sweep.match(r"window from start 2\b")
+        descent.match(r"window from start 2\b")
 
     def test_normal_matrix_without_cholesky_factor_names_its_window_start(
             self, monkeypatch):
@@ -300,6 +299,23 @@ class TestRunPolicy:
         res = run_policy(sys, costs, w, x1, sched)
         replay = rollout(sys, x1, res.traj.inputs, res.traj.disturbances)
         np.testing.assert_array_equal(replay.states, res.traj.states)
+
+    @pytest.mark.parametrize("m,N,M,T", [(1, 4, 2, 9), (2, 5, 2, 11), (1, 6, 6, 6)])
+    def test_quadratic_windows_apply_the_audits_law_rollouts(self, m, N, M, T):
+        # each window's applied inputs are its law rolled out from its
+        # observed state, bit for bit as recursion_audit rolls the law out
+        rng = np.random.default_rng(13)
+        sys = LinearSystem(A=rng.uniform(-0.6, 0.6, (2, 2)), B=rng.uniform(-1, 1, (2, m)))
+        costs = random_quad(rng, 2, m, T)
+        w = DisturbanceSequence.from_array(rng.uniform(0, 1, (T, 2)))
+        sched = build_schedule(N, M, T)
+        res = run_policy(sys, costs, w, rng.uniform(-1, 1, 2), sched)
+        K, f = res.laws
+        for i, s in enumerate(sched.starts):
+            a = sched.applied_at(i)
+            u, _ = prhc.solver._law_rollout(sys, costs, res.traj.states[s], s,
+                                            w.w[s:s + a], K[:a, i], f[:a, i])
+            np.testing.assert_array_equal(res.traj.inputs[s:s + a], u)
 
     def test_stage_costs_filled_and_sum_to_J(self):
         rng = np.random.default_rng(8)

@@ -539,6 +539,23 @@ class TestDispatch:
             solve(p)
 
     @pytest.mark.parametrize("mode", ["always", "error"])
+    def test_normal_matrix_without_inverse_names_its_window_start(self, mode):
+        # with A[1, 1] = -1e70 a stage's U overflows so that it keeps a
+        # Cholesky factor but its LU inverse meets a zero pivot; the bare
+        # LinAlgError of the inverse named no window
+        R = np.stack([np.eye(2)] * 4)
+        R[2] = np.diag([1.0, 10.0])
+        costs = QuadraticCost(np.stack([np.eye(2)] * 4), R)
+        sys = LinearSystem(A=[[-1.0, -1.0], [-1.0, -1e70]], B=np.ones((2, 2)))
+        p = make_problem(sys, costs, np.zeros(2), np.full((4, 2), 0.5))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            with pytest.raises(ValueError, match="^normal matrix of the window from start 0 "
+                                                 "is singular: Singular matrix$"):
+                solve(p)
+        assert seen == []
+
+    @pytest.mark.parametrize("mode", ["always", "error"])
     def test_overflowing_sweeps_name_their_window_in_every_warning_mode(self, mode):
         # A = 1e120 overflows the first Riccati stages; the sweeps run with
         # floating-point warnings off, so the finiteness checks at their ends
@@ -578,6 +595,23 @@ class TestDispatch:
                 with pytest.raises(error, match=message):
                     call(*args)
             assert seen == []
+
+    @pytest.mark.parametrize("mode", ["always", "error"])
+    def test_overflowing_descent_step_names_its_iteration_in_every_warning_mode(
+            self, mode):
+        # from x0 = 0 the objective is finite, but with A = 1e75 its gradient
+        # is so large that g'd overflows; the descent's direction and line
+        # search run with warnings off, so the objective's check at the first
+        # trial step names the failure whether or not warnings are errors
+        sys = LinearSystem(A=1e75 * np.eye(2), B=np.ones((2, 1)))
+        costs = SetDistanceCost(np.full(4, 0.5), np.full(2, 0.5), 0.25)
+        p = make_problem(sys, costs, np.zeros(2), np.full((4, 2), 0.5))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(mode)
+            with pytest.raises(RuntimeError,
+                               match=r"^iteration 1: stage cost at step 0 is not finite \(inf\)"):
+                solve_general(p)
+        assert seen == []
 
     def test_quadratic_window_matches_value_form_on_unstable_system(self):
         # seed 4 at T=100 has rho(A) = 1.34; on its 60-step window the dense

@@ -1,6 +1,7 @@
 """The certificate's stability threshold M > 1/beta^2 to the last bit:
 certify, omega_op, a_factor and recursion_audit decide it alike."""
 
+import dataclasses
 import functools
 import math
 
@@ -52,7 +53,8 @@ def test_certify_decides_the_threshold_where_omega_op_and_a_factor_do(edge):
     beta, M = edge
     params = EnvelopeParams.from_alphas(beta, 1.0, gamma_bar_sq=1.0)
     assert params.beta == beta
-    cert = certify(edge_run(), params, build_schedule(2 * M, M, 2 * M))
+    cert = certify(dataclasses.replace(edge_run(), schedule=build_schedule(2 * M, M, 2 * M)),
+                   params)
     name, stable, _ = cert.conditions[-1]
     assert name == "M > 1/beta^2"
     if stable:
