@@ -77,6 +77,8 @@ class CostModel:
     def check_horizon(self, t0: int, N: int) -> None:
         if t0 < 0:
             raise ValueError(f"window start {t0} is negative")
+        if N < 0:
+            raise ValueError(f"horizon {N} of the window from start {t0} is negative")
         if self.length is not None and t0 + N > self.length:
             raise ValueError(
                 f"window [{t0}, {t0 + N}) exceeds the cost sequence length {self.length}"
@@ -122,6 +124,8 @@ class QuadraticCost(SeparableCost):
             raise ValueError(
                 f"Q_seq has {Q.shape[0]} stages but R_seq has {R.shape[0]}"
             )
+        if Q.shape[0] == 0:
+            raise ValueError("Q_seq and R_seq must hold at least one stage")
         # halves first: the sum of two finite entries may overflow
         Q = 0.5 * Q + 0.5 * Q.transpose(0, 2, 1)
         R = 0.5 * R + 0.5 * R.transpose(0, 2, 1)
@@ -373,10 +377,11 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
 
     w stacks the `horizon` previewed disturbance vectors of the window. P
     comes from one backward sweep of _riccati_step over the window's h
-    stages from Lam_h = 0. The cost-to-go from offset k has the linear term
-    x_k' Gam_k w_{k:} with Gam_k = [Lam_{k+1}, S_{k+1}] and S_k = A_cl,k' Gam_k,
-    so block row j of P (x, then w_0..w_{h-1}), from block column j on, is
-    [Lam_j, S_j]. Minimizing stage k takes V_k'V_k off the w-block, with
+    stages from Lam_h = 0, a _walk over the one start t0. The cost-to-go
+    from offset k has the linear term x_k' Gam_k w_{k:} with
+    Gam_k = [Lam_{k+1}, S_{k+1}] and S_k = A_cl,k' Gam_k, so block row j
+    of P (x, then w_0..w_{h-1}), from block column j on, is [Lam_j, S_j].
+    Minimizing stage k takes V_k'V_k off the w-block, with
     V_k = L_k^-1 B' Gam_k for U_k = L_k L_k': P_ww is the mirrored block
     upper triangle less V'V, for V stacking the V_k. Each block is written
     with its transpose and V'V is one product of V' with V, so P is exactly
@@ -390,15 +395,14 @@ def quadratic_value_form(sys: LinearSystem, costs: QuadraticCost, t0: int, horiz
     P = np.zeros((n * (h + 1),) * 2)
     BtG = np.zeros((h, m, n * h))  # B' Gam_k, from w-column block k on
     U = np.empty((h, m, m))
-    lam = np.zeros((1, n, n))
+    starts = np.array([t0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(h - 1, -1, -1):
+        for k, _, t, lam in _walk(costs, starts, h, n):
             i, j = n * k, n * (k + 1)
             gam = P[j:j + n, j:]
             BtG[k, :, i:] = B.T @ gam
-            U[k:k + 1], _, Acl, lam = _riccati_step(
-                A, B, costs.Q_seq[t0 + k:t0 + k + 1], costs.R_seq[t0 + k:t0 + k + 1],
-                lam, (t0,))
+            U[k:k + 1], _, Acl, lam[:] = _riccati_step(
+                A, B, costs.Q_seq[t], costs.R_seq[t], lam, starts)
             S = Acl[0].T @ gam
             P[i:j, i:j] = lam[0]
             P[i:j, j:] = S
@@ -420,6 +424,28 @@ def _factors(S, factor=np.linalg.cholesky):
         half = len(S) // 2
         return np.concatenate([_factors(S[:half], factor), _factors(S[half:], factor)])
     return np.ones(len(S), dtype=bool)
+
+
+def _walk(costs, starts, N, n):
+    """The backward walk of a Riccati sweep over the windows from starts
+    (0-based, ascending), which every sweep here steps through.
+
+    A window from t0 has horizon min(N, L - t0), so at offset k it is live
+    exactly when t0 < L - k, and the live windows are a prefix of starts.
+    For k = min(N, L) - 1, ..., 0 the walk yields (k, a, t, Lam): the
+    number a of live windows, their stage indices t = t0 + k, and the view
+    of their rows of one (len(starts), n, n) cost-to-go stack. Lam holds
+    Lam_{k+1}, zero at a window's first stage, and the caller overwrites it
+    with Lam_k. At k = 0 every window is live, so the last Lam is the whole
+    Lam_0 stack. The walk sets no np.errstate: one suspended in a generator
+    would leave warnings off in the caller's frames when a stage raises
+    mid-walk, so each sweep sets its own around its loop.
+    """
+    L = costs.length
+    lam = np.zeros((len(starts), n, n))
+    for k in range(min(N, L) - 1, -1, -1):
+        a = int(np.searchsorted(starts, L - k))
+        yield k, a, starts[:a] + k, lam[:a]
 
 
 def _riccati_step(A, B, Q, R, Lam, starts):
@@ -455,28 +481,24 @@ def _lqr_sweep(sys, costs, N):
     """(lambda_max(P_xx), ||P_xw||_2) of every window start's value form, from
     one backward Riccati sweep over all starts at once.
 
-    Each stage is a _riccati_step with the window's stage weights from
-    Lam_h = 0; P_xx = Lam_0. Block j of P_xw is (A_cl,j ... A_cl,0)'Lam_{j+1},
-    so P_xw P_xw' is Gram_0 for Gram_k = A_cl,k'(Lam_{k+1}^2 + Gram_{k+1})A_cl,k
-    with Gram_h = 0. At offset k the live starts are t0 < L - k, whose
-    weights are Q_seq[k:L]; a start joins the prefix with Lam = Gram = 0. A
+    Each stage of the _walk is a _riccati_step with the window's stage
+    weights from Lam_h = 0; P_xx = Lam_0. Block j of P_xw is
+    (A_cl,j ... A_cl,0)'Lam_{j+1}, so P_xw P_xw' is Gram_0 for
+    Gram_k = A_cl,k'(Lam_{k+1}^2 + Gram_{k+1})A_cl,k with Gram_h = 0. A
     U_k without a Cholesky factor, or a non-finite Lam_0 or Gram_0, raises
     ValueError naming the window start, with floating-point warnings off in
     the sweep so that an overflow reaches that check in every warning mode.
     """
     A, B = sys.A, sys.B
-    L, n = costs.length, sys.n
-    starts = np.arange(L)
-    lam = np.zeros((L, n, n))
-    gram = np.zeros((L, n, n))
+    starts = np.arange(costs.length)
+    gram = np.zeros((costs.length, sys.n, sys.n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(min(N, L) - 1, -1, -1):
-            a = L - k
-            Lam = lam[:a]
-            _, _, Acl, new = _riccati_step(A, B, costs.Q_seq[k:], costs.R_seq[k:],
-                                           Lam, starts)
-            gram[:a] = Acl.transpose(0, 2, 1) @ (Lam @ Lam + gram[:a]) @ Acl
-            lam[:a] = new
+        for _, a, t, lam in _walk(costs, starts, N, sys.n):
+            _, _, Acl, new = _riccati_step(A, B, costs.Q_seq[t], costs.R_seq[t],
+                                           lam, starts)
+            gram[:a] = Acl.transpose(0, 2, 1) @ (lam @ lam + gram[:a]) @ Acl
+            lam[:] = new
+    # the walk's last view is the whole Lam_0 stack
     bad = np.flatnonzero(~(np.isfinite(lam).all(axis=(1, 2))
                            & np.isfinite(gram).all(axis=(1, 2))))
     if bad.size:
@@ -490,11 +512,12 @@ def _game_certifies(sys, costs, N, starts, c):
     for the window from starts[i] (ascending) at its own level c[i].
 
     The sweep steps and tests at the one reduced level c' = (1 - SCREEN_MARGIN)c.
-    It runs, with Pi = Lam_{k+1} and Lam_h = 0, U_k = R_k + B'Pi B,
-    Pi~_k = Pi - Pi B U_k^-1 B'Pi and Lam_k = Q_k + c' A'S_k^-1 Pi~_k A for
-    S_k = c'I - Pi~_k, the finite-horizon soft-constrained game recursion
-    (Basar & Bernhard, H-infinity-Optimal Control and Related Minimax Design
-    Problems, 1995). With x_0 = 0, sum_k x_k'Q_k x_k + u_k'R_k u_k - c'||w_k||^2
+    It runs, through the _walk, with Pi = Lam_{k+1} and Lam_h = 0,
+    U_k = R_k + B'Pi B, Pi~_k = Pi - Pi B U_k^-1 B'Pi and
+    Lam_k = Q_k + c' A'S_k^-1 Pi~_k A for S_k = c'I - Pi~_k, the
+    finite-horizon soft-constrained game recursion (Basar & Bernhard,
+    H-infinity-Optimal Control and Related Minimax Design Problems, 1995).
+    With x_0 = 0, sum_k x_k'Q_k x_k + u_k'R_k u_k - c'||w_k||^2
     is congruent to blockdiag(D_k) for D_k = [[U_k, B'Pi], [Pi B, Pi - c'I]],
     and by Sylvester's law of inertia D_k has the inertia of U_k together
     with that of its Schur complement -S_k. When every U_k and every S_k is
@@ -508,17 +531,13 @@ def _game_certifies(sys, costs, N, starts, c):
     off, as a failing window's S_k may be near singular.
     """
     A, B = sys.A, sys.B
-    L, n, m = costs.length, sys.n, sys.m
+    n, m = sys.n, sys.m
     eye = np.eye(n)
     c = (1.0 - SCREEN_MARGIN) * c
     ok = c > 0.0
-    pi = np.zeros((starts.size, n, n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(min(N, L) - 1, -1, -1):
-            a = int(np.searchsorted(starts, L - k))
-            t = starts[:a] + k
+        for _, a, t, Pi in _walk(costs, starts, N, n):
             ca = c[:a, None, None]
-            Pi = pi[:a]
             PiB = Pi @ B
             U = costs.R_seq[t] + B.T @ PiB
             live = ok[:a] & _factors(U)
@@ -531,7 +550,7 @@ def _game_certifies(sys, costs, N, starts, c):
             live &= np.isfinite(new).all(axis=(1, 2))
             new[~live] = 0.0
             ok[:a] = live
-            pi[:a] = 0.5 * (new + new.transpose(0, 2, 1))
+            Pi[:] = 0.5 * (new + new.transpose(0, 2, 1))
     return ok
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, QuadraticCost, _riccati_step, _stage_costs
+from .costs import CostModel, QuadraticCost, _riccati_step, _stage_costs, _walk
 from .linsys import DisturbanceSequence, LinearSystem, _propagate, stack_dynamics
 
 __all__ = [
@@ -288,10 +288,10 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     ascending) of a quadratic model, from one backward Riccati sweep over
     all of them at once; K is (N, W, m, n) and f is (N, W, m), offset first.
 
-    Window t0 has horizon h = min(N, L - t0) and stage weights Q_seq, R_seq
-    from t0 on. Each stage is a _riccati_step on the windows live at that
-    offset, a prefix of starts, and the feedforward follows the linear term
-    s of the cost-to-go, with s_h = 0: g = Lam_{k+1} w_{t0+k} + s_{k+1},
+    Window t0 has stage weights Q_seq, R_seq from t0 on and the horizon h
+    of costs._walk. Each stage of the walk is a _riccati_step on the
+    windows live at that offset, and the feedforward follows the linear
+    term s of the cost-to-go, with s_h = 0: g = Lam_{k+1} w_{t0+k} + s_{k+1},
     f_k = U_k^-1 B'g and s_k = A_cl,k'(g - Lam_{k+1} B f_k) + K_k'R_k f_k.
     Offsets past a window's horizon keep K = f = 0. A U_k without a Cholesky
     factor, or a window whose K or f is not finite, raises ValueError naming
@@ -299,23 +299,19 @@ def _window_laws(sys: LinearSystem, costs: QuadraticCost, w, starts, N: int):
     an overflow reaches that check in every warning mode.
     """
     A, B = sys.A, sys.B
-    n, m, L, W = sys.n, sys.m, costs.length, len(starts)
+    n, m, W = sys.n, sys.m, len(starts)
     K = np.zeros((N, W, m, n))
     f = np.zeros((N, W, m))
-    lam = np.zeros((W, n, n))
     s = np.zeros((W, n, 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(N - 1, -1, -1):
-            a = int(np.searchsorted(starts, L - k))
-            t = starts[:a] + k
-            Lam = lam[:a]
+        for k, a, t, Lam in _walk(costs, starts, N, n):
             R = costs.R_seq[t]
             U, K_k, Acl, new = _riccati_step(A, B, costs.Q_seq[t], R, Lam, starts[:a])
             g = Lam @ w[t][..., None] + s[:a]
             f_k = np.linalg.solve(U, B.T @ g)
             s[:a] = (Acl.transpose(0, 2, 1) @ (g - Lam @ (B @ f_k))
                      + K_k.transpose(0, 2, 1) @ (R @ f_k))
-            lam[:a] = new
+            Lam[:] = new
             K[k, :a] = K_k
             f[k, :a] = f_k[..., 0]
     bad = np.flatnonzero(~(np.isfinite(K).all(axis=(0, 2, 3))

@@ -1,13 +1,18 @@
-"""The names the benchmark in `perfbench/` reads from prhc still resolve.
+"""The names the benchmark in `perfbench/` reads from prhc still resolve,
+and every workload passes its own checks at its smoke sizes.
 
-The benchmark's tracer is loaded from its file, as the benchmark loads it,
-so deleting or renaming a traced function fails here instead of making every
-benchmark run fail.
+The benchmark's tracer and workloads are loaded from their files, as the
+benchmark loads them, so deleting or renaming a traced function, or changing
+a call a workload makes or an output it checks, fails here instead of making
+every benchmark run fail.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,17 +22,21 @@ from prhc.linsys import StackedDynamics
 from prhc.policy import RunResult
 from prhc.solver import HorizonSolution
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-SPANNED = load_tracing().SPANNED
+SPANNED = load_perfbench("tracing").SPANNED
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("layer,fn", [(layer, fn) for layer, fns in SPANNED.items()
@@ -51,3 +60,25 @@ def test_worker_count_resolves():
 def test_fields_read_by_the_benchmark_exist(cls, names):
     fields = {f.name for f in dataclasses.fields(cls)}
     assert set(names) <= fields
+
+
+def smoke_pass(wl, scenarios):
+    """One pass as the benchmark times it: run and check every task, then
+    summarize; (payload digest, cost total, problems)."""
+    outputs, problems = [], []
+    for sc in scenarios:
+        out = wl.run(sc, wl.smoke)
+        problems += wl.check(sc, out, wl.smoke)
+        outputs.append(out)
+    payload, cost, pass_problems = wl.summarize(scenarios, outputs, wl.smoke)
+    return hashlib.sha256(payload).hexdigest(), cost, problems + pass_problems
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_passes_its_checks_at_smoke_size(name):
+    wl = WORKLOADS[name]
+    scenarios = wl.build(0, wl.smoke)
+    digest, cost, problems = smoke_pass(wl, scenarios)
+    assert problems == []
+    assert math.isfinite(cost)
+    assert smoke_pass(wl, scenarios) == (digest, cost, [])

@@ -378,6 +378,66 @@ class TestQuadraticValueForm:
             sol = solve_quadratic(p)
             assert float(z @ P @ z) == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
 
+    def test_horizon_zero_is_the_zero_form(self):
+        P = quadratic_value_form(LinearSystem(A=np.eye(2), B=np.ones((2, 1))),
+                                 make_quad(T=3), 2, 0)
+        np.testing.assert_array_equal(P, np.zeros((2, 2)))
+
+    def test_negative_horizon_is_named(self):
+        with pytest.raises(ValueError, match="horizon -1 of the window from start 2 is negative"):
+            quadratic_value_form(LinearSystem(A=np.eye(2), B=np.ones((2, 1))),
+                                 make_quad(T=3), 2, -1)
+
+
+class TestWalk:
+    """costs._walk, the backward walk every Riccati sweep steps through."""
+
+    @staticmethod
+    def walk(L, starts, N, n=2):
+        # each view is overwritten with its offset and the window's start, so
+        # the next offset shows what the walk carried over
+        seen = []
+        for k, a, t, lam in costs_mod._walk(make_quad(T=L), np.array(starts), N, n):
+            assert len(t) == len(lam) == a
+            seen.append((k, t.copy(), lam.copy()))
+            lam[:] = (100 * k + t - k)[:, None, None]
+        return seen
+
+    def test_offsets_live_prefixes_and_stage_indices(self):
+        starts = np.array([0, 3, 7, 8, 9])
+        seen = self.walk(10, starts, 4)
+        assert [k for k, _, _ in seen] == [3, 2, 1, 0]
+        assert [len(t) for _, t, _ in seen] == [2, 3, 4, 5]
+        for k, t, lam in seen:
+            np.testing.assert_array_equal(t, starts[:len(t)] + k)
+            assert lam.shape == (len(t), 2, 2)
+
+    def test_views_carry_each_windows_cost_to_go(self):
+        starts = np.array([0, 3, 7, 8, 9])
+        seen = self.walk(10, starts, 4)
+        first = {}
+        for k, t, lam in seen:
+            for i, t0 in enumerate(t - k):
+                if t0 not in first:
+                    first[t0] = k
+                    # a window's first view is Lam_h = 0
+                    assert not lam[i].any()
+                else:
+                    # the value written at offset k + 1 is Lam_{k+1} here
+                    assert (lam[i] == 100 * (k + 1) + t0).all()
+        # every window goes live at its last offset, min(N, L - t0) - 1
+        assert first == {0: 3, 3: 3, 7: 2, 8: 1, 9: 0}
+
+    def test_one_start(self):
+        # quadratic_value_form walks one window, live at every offset
+        seen = self.walk(10, [4], 5)
+        assert [(k, t.tolist()) for k, t, _ in seen] == [(k, [4 + k]) for k in range(4, -1, -1)]
+        assert not seen[0][2].any()
+        assert all((lam == 100 * (k + 1) + 4).all() for k, _, lam in seen[1:])
+
+    def test_horizon_past_the_sequence_starts_at_its_end(self):
+        assert [k for k, _, _ in self.walk(3, [0, 1, 2], 5)] == [2, 1, 0]
+
 
 class TestEnvelopeParams:
     def test_valid_construction(self):
@@ -535,6 +595,10 @@ class TestModelInvariants:
     def test_nonconvex_needs_two_states(self):
         with pytest.raises(ValueError, match="at least 2"):
             NonConvexCost().eval(0, np.array([1.0]), np.array([0.0]))
+
+    def test_quadratic_needs_a_stage(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            QuadraticCost(np.zeros((0, 2, 2)), np.zeros((0, 1, 1)))
 
     def test_quadratic_rejects_indefinite(self):
         Q = np.stack([np.diag([1.0, -0.5])])
